@@ -21,6 +21,8 @@ import time
 import types
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
+import numpy as _np
+
 from repro.channel.model import ChannelModel
 from repro.d2d.link import LinkModel
 from repro.energy.model import EnergyModel, EnergyPhase
@@ -33,12 +35,6 @@ from repro.sim.engine import PeriodicProcess, Simulator
 
 #: Scan-result ordering key (strongest signal first via ``reverse=True``).
 _RSSI_KEY = operator.attrgetter("rssi_dbm")
-
-try:  # numpy powers the vectorized scan path; everything degrades to the
-    # scalar hot loop without it, so it stays an optional accelerator.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the kill switch
-    _np = None
 
 #: Candidate blocks smaller than this run the scalar loop: the fixed
 #: overhead of the numpy calls only pays off once the block is big enough
@@ -425,7 +421,13 @@ class D2DMedium:
     profile:
         Energy calibration (shared with the cellular side).
     link_check_period_s:
-        How often live connections re-check range under mobility.
+        How often live connections re-check range under mobility. Only
+        connections that can change between sends are polled: those
+        with an endpoint whose speed bound is nonzero or unknown, and
+        every connection while a ``link_gate`` is installed. A pair of
+        fixed endpoints formed within range stays within range, so
+        polling it could never break it; power-off and unregister still
+        break it directly, and every send re-checks gate and range.
     allow_undeployed:
         LTE Direct is modelled but flagged undeployed (the paper abandons
         it "for generality consideration"); using it requires opting in.
@@ -507,9 +509,9 @@ class D2DMedium:
         #: ``_scan_candidates``. ``enabled=False`` forces full re-sorts.
         self._sorted_cache = _SortedCandidateCache()
         #: Kill switch for the numpy block-distance scan path. On by
-        #: default when numpy imports; the determinism guard flips it to
-        #: prove scalar and vectorized scans are byte-identical.
-        self.vectorized = _np is not None
+        #: default; the determinism guard flips it to prove scalar and
+        #: vectorized scans are byte-identical.
+        self.vectorized = True
         #: (cell, k) → _VectorBlock | None (None = block below the numpy
         #: threshold). One *global* stamp covers the whole dict — the
         #: stamp has no per-key component — so any membership/bin change
@@ -550,11 +552,7 @@ class D2DMedium:
         #: (dicts as ordered sets: O(1) add/remove, stable iteration)
         self._connections: Dict[D2DConnection, None] = {}
         self._adjacency: Dict[str, Dict[D2DConnection, None]] = {}
-        #: Optional veto on pairwise reachability (chaos link flap): called
-        #: as ``link_gate(a_id, b_id)``; returning ``False`` makes the pair
-        #: mutually unreachable — discovery hides them, connects fail, live
-        #: links break at the next send or link check.
-        self.link_gate: Optional[Callable[[str, str], bool]] = None
+        self._link_gate: Optional[Callable[[str, str], bool]] = None
         # statistics
         self.discoveries = 0
         self.connections_established = 0
@@ -653,9 +651,48 @@ class D2DMedium:
         """Snapshot of every currently established connection."""
         return list(self._connections)
 
+    @property
+    def link_gate(self) -> Optional[Callable[[str, str], bool]]:
+        """Optional veto on pairwise reachability (chaos link flap).
+
+        Called as ``link_gate(a_id, b_id)``; returning ``False`` makes the
+        pair mutually unreachable — discovery hides them, connects fail,
+        live links break at the next send or link check. Installing a gate
+        arms a link monitor on every live connection that lacks one (the
+        fixed pairs), first firing on the tick that connection's monitor
+        would have had if it had been polled all along.
+        """
+        return self._link_gate
+
+    @link_gate.setter
+    def link_gate(self, gate: Optional[Callable[[str, str], bool]]) -> None:
+        self._link_gate = gate
+        if gate is None:
+            return
+        now = self.sim.now
+        period = self.link_check_period_s
+        for connection in self._connections:
+            if connection._monitor is not None:
+                continue
+            # same repeated addition PeriodicProcess uses, so the ticks
+            # are bit-identical to a monitor armed at establishment
+            first_s = connection.established_at_s + period
+            while first_s <= now:
+                first_s += period
+            # armed at the absolute tick: every(start_after=first_s - now)
+            # would round through the subtraction and shift the tick
+            monitor = PeriodicProcess(
+                self.sim, period, self._check_link, (connection,), "d2d_link_check"
+            )
+            monitor._event = self.sim.schedule_at(
+                first_s, monitor._fire, name="d2d_link_check"
+            )
+            connection._monitor = monitor
+
     def link_allowed(self, a_id: str, b_id: str) -> bool:
         """Whether the gate (if any) permits the ``a``–``b`` pair."""
-        return self.link_gate is None or self.link_gate(a_id, b_id)
+        gate = self._link_gate
+        return gate is None or gate(a_id, b_id)
 
     # ------------------------------------------------------------------
     # discovery
@@ -988,12 +1025,19 @@ class D2DMedium:
             self._adjacency.setdefault(initiator_id, {})[connection] = None
             self._adjacency.setdefault(responder_id, {})[connection] = None
             self.connections_established += 1
-            connection._monitor = self.sim.every(
-                self.link_check_period_s,
-                self._check_link,
-                connection,
-                name="d2d_link_check",
-            )
+            # A fixed pair formed in range stays in range: poll only when
+            # an endpoint may move or a gate may veto the link later.
+            if (
+                self._link_gate is not None
+                or initiator.mobility.max_speed_m_s() != 0.0
+                or responder.mobility.max_speed_m_s() != 0.0
+            ):
+                connection._monitor = self.sim.every(
+                    self.link_check_period_s,
+                    self._check_link,
+                    connection,
+                    name="d2d_link_check",
+                )
             on_complete(connection)
 
         self.sim.schedule(connect_latency, finish, name="d2d_connect")

@@ -11,12 +11,9 @@ import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.mobility.space import Arena, Position, distance_between
+import numpy as _np
 
-try:  # numpy accelerates batched trajectory evaluation; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
+from repro.mobility.space import Arena, Position, distance_between
 
 
 class MobilityModel:
@@ -226,8 +223,8 @@ class TrajectoryBatch:
     :meth:`LinearMobility.position` performs, so results are bit-identical
     to per-model calls — and an exact remainder evaluated model by model.
     Built once per membership change; ``positions_at`` is the per-tick
-    call. Without numpy (or below ``min_block`` affine members) everything
-    runs the exact path, so the batch is always safe to use.
+    call. Below ``min_block`` affine members everything runs the exact
+    path, so the batch is always safe to use.
     """
 
     def __init__(
@@ -242,7 +239,7 @@ class TrajectoryBatch:
         vy: List[float] = []
         exact: List[Tuple[str, MobilityModel]] = []
         for key, model in members:
-            params = affine_params(model) if _np is not None else None
+            params = affine_params(model)
             if params is None:
                 exact.append((key, model))
             else:

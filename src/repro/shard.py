@@ -57,6 +57,8 @@ import multiprocessing
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.cellular.network import CellularNetwork, grid_cell_positions
 from repro.cellular.rrc import WCDMA_PROFILE
 from repro.core.framework import FrameworkConfig, HeartbeatRelayFramework
@@ -83,49 +85,25 @@ _DEFAULT_DRAIN_S = 30.0
 # ----------------------------------------------------------------------
 # partition plan
 # ----------------------------------------------------------------------
-try:  # numpy accelerates the one-shot cell-occupancy count; the scalar
-    # fallback below runs the bit-identical math (same IEEE float64 ops
-    # in the same order), so plan geometry never depends on its presence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-
 def cell_occupancy(
     cell_positions: Sequence[Position], positions: Sequence[Position]
 ) -> List[int]:
     """Devices per grid cell (nearest-cell assignment, first cell wins ties).
 
     The tile planner's cost model: one count per cell, computed once from
-    the t=0 placements. Ties break to the lowest cell index on both the
-    numpy and the scalar path (``argmin``/``min`` both keep the first
-    minimum), and both paths compare the same squared distances, so the
-    resulting weights — and therefore the partition — are identical
-    whether or not numpy is installed.
+    the t=0 placements. ``argmin`` keeps the first minimum, so ties break
+    to the lowest cell index.
     """
     counts = [0] * len(cell_positions)
     if not positions:
         return counts
-    if _np is not None:
-        cells = _np.asarray(cell_positions, dtype=_np.float64)
-        points = _np.asarray(positions, dtype=_np.float64)
-        dx = points[:, 0:1] - cells[None, :, 0]
-        dy = points[:, 1:2] - cells[None, :, 1]
-        nearest = _np.argmin(dx * dx + dy * dy, axis=1)
-        for cell in nearest.tolist():
-            counts[cell] += 1
-        return counts
-    for x, y in positions:
-        best_cell = 0
-        best_d2 = float("inf")
-        for c, (cx, cy) in enumerate(cell_positions):
-            dx = x - cx
-            dy = y - cy
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                best_d2 = d2
-                best_cell = c
-        counts[best_cell] += 1
+    cells = _np.asarray(cell_positions, dtype=_np.float64)
+    points = _np.asarray(positions, dtype=_np.float64)
+    dx = points[:, 0:1] - cells[None, :, 0]
+    dy = points[:, 1:2] - cells[None, :, 1]
+    nearest = _np.argmin(dx * dx + dy * dy, axis=1)
+    for cell in nearest.tolist():
+        counts[cell] += 1
     return counts
 
 

@@ -204,15 +204,6 @@ class EventQueue:
         """One of this queue's events was cancelled while still queued."""
         self._live = max(0, self._live - 1)
 
-    def note_cancelled(self) -> None:
-        """Deprecated no-op, kept for API compatibility.
-
-        Live-count bookkeeping moved into :meth:`Event.cancel`, which knows
-        its owning queue — callers no longer need to (and must not) report
-        cancellations separately, which previously let direct
-        ``event.cancel()`` calls drift the count.
-        """
-
     def __len__(self) -> int:
         return self._live
 

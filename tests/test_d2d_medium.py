@@ -7,6 +7,8 @@ from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel, EnergyPhase
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.mobility.models import LinearMobility, StaticMobility
+from repro.mobility.space import distance_between
+from repro.sim.engine import Simulator
 
 
 def make_endpoint(device_id, position=(0.0, 0.0), advertising=False, role=None):
@@ -305,12 +307,23 @@ class TestMobilityBreaks:
         connection = holder[0]
         assert connection.alive
         breaks = []
-        ue.on_disconnect = lambda conn, reason: breaks.append(reason)
+        ue.on_disconnect = lambda conn, reason: breaks.append((reason, sim.now))
         # after ~25 s the UE is past the 50 m Wi-Fi Direct range
         sim.run_until(60.0)
         assert not connection.alive
-        assert breaks == ["out of range"]
         assert medium.connections_broken == 1
+        # the monitor catches it on the first tick established + k·period
+        # (by repeated addition, as the periodic process re-arms) at which
+        # the pair is out of range
+        tick = connection.established_at_s + medium.link_check_period_s
+        while True:
+            distance = distance_between(ue.position(tick), relay.position(tick))
+            if distance > WIFI_DIRECT.max_range_m or not WIFI_DIRECT.link.in_range(
+                distance
+            ):
+                break
+            tick += medium.link_check_period_s
+        assert breaks == [("out of range", tick)]
 
     def test_send_beyond_range_breaks_link(self, sim, medium):
         ue = D2DEndpoint("ue", LinearMobility((0.0, 0.0), (30.0, 0.0)))
@@ -338,6 +351,78 @@ class TestMobilityBreaks:
         medium.power_off("relay")
         assert not holder[0].alive
         assert medium.connections_of("ue") == []
+
+
+class TestLinkSupervision:
+    """Only links that can change between sends are polled.
+
+    A pair of fixed endpoints formed in range stays in range, so its
+    link check could never fire a break; a gate can veto any pair at any
+    time, so installing one polls every live link on the ticks its
+    monitor would have had all along.
+    """
+
+    @staticmethod
+    def _connect(sim, medium, ue_mobility):
+        medium.register(D2DEndpoint("ue", ue_mobility, energy=EnergyModel(owner="ue")))
+        medium.register(make_endpoint("relay", (3.0, 0.0), advertising=True))
+        holder = []
+        medium.connect("ue", "relay", holder.append)
+        sim.run_until(WIFI_DIRECT.connection_latency_s)
+        return holder[0]
+
+    def test_fixed_pair_has_no_monitor(self, sim, medium):
+        connection = self._connect(sim, medium, StaticMobility((0.0, 0.0)))
+        assert connection.alive
+        assert connection._monitor is None
+
+    def test_pair_with_a_mover_has_a_monitor(self, sim, medium):
+        connection = self._connect(
+            sim, medium, LinearMobility((0.0, 0.0), (0.1, 0.0))
+        )
+        assert connection._monitor is not None
+
+    @staticmethod
+    def _check_times(gate_at_s):
+        """``d2d_link_check`` times of a fixed pair whose gate goes in at
+        ``gate_at_s`` (``None``: before the connection forms)."""
+        sim = Simulator(seed=0, trace=True)
+        # 0.7 is not a binary fraction: repeated addition drifts from
+        # established + k·0.7, so the ticks must be re-derived exactly
+        medium = D2DMedium(sim, WIFI_DIRECT, link_check_period_s=0.7)
+        if gate_at_s is None:
+            medium.link_gate = lambda a, b: True
+        connection = TestLinkSupervision._connect(
+            sim, medium, StaticMobility((0.0, 0.0))
+        )
+        if gate_at_s is not None:
+            sim.run_until(gate_at_s)
+            assert connection._monitor is None
+            medium.link_gate = lambda a, b: True
+            assert connection._monitor is not None
+        sim.run_until(60.0)
+        return [t for t, name in sim.event_log if name == "d2d_link_check"]
+
+    def test_gate_installed_mid_run_keeps_the_original_ticks(self):
+        from_start = self._check_times(None)
+        mid_run = self._check_times(23.45)  # between two ticks
+        assert mid_run
+        assert mid_run == [t for t in from_start if t > 23.45]
+
+    def test_gate_veto_breaks_a_fixed_pair_at_the_next_tick(self, sim, medium):
+        connection = self._connect(sim, medium, StaticMobility((0.0, 0.0)))
+        breaks = []
+        medium.endpoint("ue").on_disconnect = lambda conn, reason: breaks.append(
+            (reason, sim.now)
+        )
+        sim.run_until(12.0)
+        medium.link_gate = lambda a, b: False
+        sim.run_until(30.0)
+        period = medium.link_check_period_s
+        tick = connection.established_at_s + period
+        while tick <= 12.0:
+            tick += period
+        assert breaks == [("link down", tick)]
 
 
 class TestAdvertisementSafety:

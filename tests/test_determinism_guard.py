@@ -226,6 +226,34 @@ class TestVectorizedScanIdentity:
         )
 
 
+class TestLinkSupervisionIdentity:
+    """Skipping the link checks of fixed pairs is an acceleration only.
+
+    An allow-all ``link_gate`` changes no verdict but makes the medium
+    poll every connection, fixed or not — the oracle. A mixed static and
+    mobile crowd must produce byte-identical metrics either way.
+    """
+
+    @staticmethod
+    def _poll_everything(context, devices):
+        context.medium.link_gate = lambda a, b: True
+
+    def test_skipping_fixed_pair_checks_is_pure_acceleration(self):
+        kwargs = dict(
+            n_devices=300, relay_fraction=0.2, duration_s=1800.0,
+            hotspots=4, mobile_fraction=0.1, seed=3,
+        )
+        fast = run_crowd_scenario(**kwargs)
+        polled = run_crowd_scenario(pre_run=self._poll_everything, **kwargs)
+        assert (
+            fast.metrics.to_comparable_dict()
+            == polled.metrics.to_comparable_dict()
+        )
+        # sanity: the oracle really polled the fixed pairs the fast run skipped
+        assert fast.context.sim.events_fired < polled.context.sim.events_fired
+        assert fast.metrics.delivery.received > 0
+
+
 class TestShardedKernelIdentity:
     """The cell-sharded kernel's determinism contract.
 

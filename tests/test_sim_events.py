@@ -1,5 +1,6 @@
 """Unit tests for events and the event queue."""
 
+from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 
 
@@ -47,7 +48,6 @@ class TestEventQueue:
         event = queue.push(1.0, _noop, name="cancelled")
         queue.push(2.0, _noop, name="live")
         event.cancel()
-        queue.note_cancelled()
         assert queue.pop().name == "live"
 
     def test_pop_empty_returns_none(self):
@@ -65,7 +65,6 @@ class TestEventQueue:
         head = queue.push(1.0, _noop)
         queue.push(4.0, _noop)
         head.cancel()
-        queue.note_cancelled()
         assert queue.peek_time() == 4.0
 
     def test_len_tracks_live_events(self):
@@ -75,7 +74,6 @@ class TestEventQueue:
         queue.push(2.0, _noop)
         assert len(queue) == 2 and queue
         event.cancel()
-        queue.note_cancelled()
         assert len(queue) == 1
 
     def test_args_are_passed_through(self):
@@ -92,15 +90,14 @@ class TestLiveCountBookkeeping:
 
     Bookkeeping lives in ``Event.cancel`` itself (the event knows its
     owning queue), so user code holding a handle can cancel directly —
-    without ``Simulator.cancel`` or the old ``note_cancelled`` protocol —
-    and ``len(queue)`` stays truthful.
+    without ``Simulator.cancel`` — and ``len(queue)`` stays truthful.
     """
 
     def test_direct_cancel_decrements_live_count(self):
         queue = EventQueue()
         event = queue.push(1.0, _noop)
         queue.push(2.0, _noop)
-        event.cancel()  # no note_cancelled() — the old API's drift bug
+        event.cancel()  # straight on the handle, no simulator involved
         assert len(queue) == 1
 
     def test_double_cancel_decrements_once(self):
@@ -111,13 +108,13 @@ class TestLiveCountBookkeeping:
         event.cancel()
         assert len(queue) == 1
 
-    def test_cancel_then_note_cancelled_does_not_double_count(self):
-        queue = EventQueue()
-        event = queue.push(1.0, _noop)
-        queue.push(2.0, _noop)
+    def test_handle_then_simulator_cancel_counts_once(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, _noop)
+        sim.schedule(2.0, _noop)
         event.cancel()
-        queue.note_cancelled()  # legacy callers still do this; now a no-op
-        assert len(queue) == 1
+        sim.cancel(event)  # the same event again, through the simulator
+        assert len(sim.queue) == 1
 
     def test_cancel_after_pop_does_not_touch_live_count(self):
         """Cancelling an already-fired event must not drift the count."""
