@@ -10,25 +10,21 @@ Cases
 - ``kernel`` — micro: events/second through the discrete-event kernel
   (heap churn with a cancelled-event mix, exercising lazy deletion).
 - ``pair`` — macro: the paper's bench rig (1 relay + 8 UEs), end to end.
-- ``crowd-200`` — macro + gate: a 200-device discovery-heavy crowd run
-  twice, spatial index vs ``brute_force=True``. Reports the speedup and
-  asserts the two runs' :class:`~repro.metrics.RunMetrics` are identical
-  (minus the observability-only ``perf`` block). CI gates on this case's
-  speedup: the *ratio* is machine-independent where raw seconds are not.
-- ``crowd-500-storm`` — the headline demonstration (skipped in
-  ``--quick``): 500 devices, every endpoint advertising, a scan every
-  5 s per device. Indexed vs brute-force, same identity check; the
-  speedup here is the O(N) → O(local density) story at full size.
+- ``crowd-200`` — macro: a 200-device discovery-heavy crowd, every
+  endpoint advertising and scanning every 5 s; times the indexed scan.
+- ``crowd-500-storm`` — the same storm at 500 devices (skipped in
+  ``--quick``). Scan output against a brute-force walk is pinned by the
+  determinism guard's oracle tests, not re-checked here.
 - ``crowd-300-ran-chaos`` — audited 300-device crowd under the
   ``paging-storm`` RAN chaos profile (skipped in ``--quick``): pins the
   degraded-RAN event counts, the fallback protocol's retry/drop
   accounting, the outage-aware deadline-safe fraction, and the
   replay-identity of chaotic runs.
 - ``crowd-5000-sharded`` — the city-scale case (skipped in ``--quick``):
-  a 5000-device advertising crowd run unsharded scalar, unsharded
-  vectorized, and on the cell-sharded kernel (serial + process
-  backends). Gates on vectorization being byte-identical to the scalar
-  scan and on the two shard backends merging to byte-identical metrics.
+  a 5000-device advertising crowd run unsharded and on the cell-sharded
+  kernel (serial + process backends). Gates on the two shard backends
+  merging to byte-identical metrics; reports, but does not gate, the
+  unsharded-over-sharded wall ratio.
 - ``crowd-20000-balanced`` — the shard-planning case (skipped in
   ``--quick``): a 20000-device hotspot crowd on the sharded kernel at
   ``shards=4``, column bands vs load-balanced tiles. Reports per-plan
@@ -69,12 +65,6 @@ from repro.workload.apps import STANDARD_APP
 #: reports with different schemas must not be speedup-compared.
 BENCH_SCHEMA = 1
 
-#: The acceptance target the storm case demonstrates.
-STORM_TARGET_SPEEDUP = 5.0
-
-#: The case CI's regression gate compares between report and baseline.
-GATE_CASE = "crowd-200"
-
 #: Allowed relative bands-vs-tiles delivery difference on the balanced
 #: case. Shard borders restrict D2D matching, so a few horizon-edge
 #: beats legitimately ride the direct uplink under one plan and a relay
@@ -86,9 +76,6 @@ _DELIVERY_TOLERANCE = 0.005
 #: gated only when it appears in *both* the current report and the
 #: baseline, so partial (``--only``) runs gate exactly what they ran.
 GATE_RATIOS: Dict[str, str] = {
-    GATE_CASE: "speedup",
-    "crowd-500-storm": "speedup",
-    "crowd-5000-sharded": "speedup_sharded",
     "crowd-20000-balanced": "speedup_tiles_critical",
 }
 
@@ -202,13 +189,9 @@ def bench_crowd_storm(
     scan_period_s: float,
     repeats: int,
 ) -> CaseResult:
-    """Discovery-heavy crowd, spatial index vs brute force.
+    """Discovery-heavy crowd: every device advertises and scans."""
 
-    Both modes must produce identical :class:`RunMetrics` (minus the
-    ``perf`` observability block) — the determinism guard run as a bench.
-    """
-
-    def run(brute: bool):
+    def run():
         return run_crowd_scenario(
             n_devices=n_devices,
             relay_fraction=0.2,
@@ -216,30 +199,18 @@ def bench_crowd_storm(
             arena=Arena(arena_m, arena_m),
             hotspots=hotspots,
             seed=0,
-            brute_force=brute,
             pre_run=_storm_pre_run(scan_period_s),
         )
 
-    indexed_wall, indexed = _best_of(lambda: run(False), repeats)
-    brute_wall, brute = _best_of(lambda: run(True), repeats)
-    identical = _identical(indexed.metrics, brute.metrics)
-    speedup = brute_wall / indexed_wall if indexed_wall > 0 else 0.0
-    perf = indexed.metrics.perf or {}
-    brute_perf = brute.metrics.perf or {}
+    wall, result = _best_of(run, repeats)
+    perf = result.metrics.perf or {}
     return CaseResult(
         name=name,
-        wall_s=indexed_wall,
+        wall_s=wall,
         detail={
             "n_devices": n_devices,
-            "indexed_wall_s": indexed_wall,
-            "brute_wall_s": brute_wall,
-            "speedup": speedup,
-            "identical_metrics": identical,
             "scans": perf.get("scans", 0),
-            "mean_candidates_indexed": perf.get("mean_candidates_per_scan", 0.0),
-            "mean_candidates_brute": brute_perf.get(
-                "mean_candidates_per_scan", 0.0
-            ),
+            "mean_candidates_per_scan": perf.get("mean_candidates_per_scan", 0.0),
         },
     )
 
@@ -462,18 +433,16 @@ def bench_sharded_crowd(
     shards: int,
     repeats: int,
 ) -> CaseResult:
-    """City-scale storm: single-kernel scalar vs vectorized vs sharded.
+    """City-scale storm: single kernel vs sharded.
 
-    The same 5000-device advertising crowd runs four ways — unsharded
-    with the numpy scan path off (the old kernel), unsharded vectorized,
-    and on the cell-sharded kernel with both backends. Two identity
-    checks gate the case: vectorization must be byte-identical to the
-    scalar scan (it is pure acceleration), and the serial and process
-    shard backends must merge to byte-identical metrics (the sharded
-    kernel's determinism contract). Wall-clock headline: the sharded +
-    vectorized kernel against the scalar single process. On a single
-    CPU the process backend measures protocol overhead, not parallelism;
-    ``cpus`` in the detail says which reading applies.
+    The same 5000-device advertising crowd runs three ways — unsharded,
+    and on the cell-sharded kernel with both backends. One identity check
+    gates the case: the serial and process shard backends must merge to
+    byte-identical metrics (the sharded kernel's determinism contract).
+    ``speedup_sharded`` is the unsharded wall over the best sharded wall;
+    it is reported, not gated. On a single CPU the process backend
+    measures protocol overhead, not parallelism; ``cpus`` in the detail
+    says which reading applies.
     """
     from repro.shard import run_crowd_scenario_sharded
 
@@ -482,14 +451,8 @@ def bench_sharded_crowd(
     spread_m = 60.0
     mobile_fraction = 0.1
     scan_period_s = 10.0
-    storm = _storm_pre_run(scan_period_s)
 
-    def run_unsharded(vectorized: bool):
-        def pre_run(context: NetworkContext, devices: Dict[str, Any]) -> None:
-            if not vectorized:
-                context.medium.vectorized = False
-            storm(context, devices)
-
+    def run_unsharded():
         return run_crowd_scenario(
             n_devices=n_devices,
             relay_fraction=0.2,
@@ -499,7 +462,7 @@ def bench_sharded_crowd(
             hotspot_spread_m=spread_m,
             mobile_fraction=mobile_fraction,
             seed=0,
-            pre_run=pre_run,
+            pre_run=_storm_pre_run(scan_period_s),
         )
 
     def run_sharded(backend: str):
@@ -518,16 +481,11 @@ def bench_sharded_crowd(
             backend=backend,
         )
 
-    scalar_wall, scalar = _best_of(lambda: run_unsharded(False), repeats)
-    vector_wall, vector = _best_of(lambda: run_unsharded(True), repeats)
+    unsharded_wall, __ = _best_of(run_unsharded, repeats)
     serial_wall, serial = _best_of(lambda: run_sharded("serial"), repeats)
     process_wall, process = _best_of(lambda: run_sharded("process"), repeats)
 
-    vector_identical = _identical(scalar.metrics, vector.metrics)
-    backend_identical = (
-        serial.metrics.to_comparable_dict()
-        == process.metrics.to_comparable_dict()
-    )
+    backend_identical = _identical(serial.metrics, process.metrics)
     best_sharded = min(serial_wall, process_wall)
     perf = serial.metrics.perf or {}
     return CaseResult(
@@ -537,25 +495,19 @@ def bench_sharded_crowd(
             "n_devices": n_devices,
             "shards": shards,
             "cpus": os.cpu_count(),
-            "scalar_wall_s": scalar_wall,
-            "vectorized_wall_s": vector_wall,
+            "unsharded_wall_s": unsharded_wall,
             "sharded_serial_wall_s": serial_wall,
             "sharded_process_wall_s": process_wall,
-            "speedup_vectorized": (
-                scalar_wall / vector_wall if vector_wall > 0 else 0.0
-            ),
             "speedup_sharded": (
-                scalar_wall / best_sharded if best_sharded > 0 else 0.0
+                unsharded_wall / best_sharded if best_sharded > 0 else 0.0
             ),
-            "identical_metrics": vector_identical and backend_identical,
-            "vector_identical": vector_identical,
+            "identical_metrics": backend_identical,
             "backend_identical": backend_identical,
             "devices_per_shard": serial.devices_per_shard,
             "windows": serial.windows,
             "handovers": serial.handovers,
             "ghost_registrations": serial.ghost_registrations,
             "scans": perf.get("scans", 0),
-            "vectorized_scans": perf.get("vectorized_scans", 0),
         },
     )
 
@@ -680,8 +632,8 @@ def run_suite(
         ("kernel", False,
          lambda: bench_kernel(events=50_000 if quick else 200_000)),
         ("pair", False, lambda: bench_pair(repeats=repeats)),
-        (GATE_CASE, False, lambda: bench_crowd_storm(
-            GATE_CASE,
+        ("crowd-200", False, lambda: bench_crowd_storm(
+            "crowd-200",
             n_devices=200,
             arena_m=2000.0,
             hotspots=50,
@@ -716,9 +668,9 @@ def run_suite(
             duration_s=300.0,
             repeats=repeats,
         )),
-        # repeats pinned to 1: the four 5000-device legs make this the
-        # most expensive case in the suite, and its gates are identity
-        # checks rather than timing noise
+        # repeats pinned to 1: the three 5000-device legs make this one of
+        # the most expensive cases in the suite, and its gate is an
+        # identity check rather than timing noise
         ("crowd-5000-sharded", True, lambda: bench_sharded_crowd(
             "crowd-5000-sharded",
             n_devices=5000,
@@ -797,11 +749,9 @@ def compare_reports(
     holds across machines of different absolute speed, so a committed
     baseline from one box meaningfully gates CI runners. A ratio is
     gated only for cases present in both reports (partial ``--only``
-    runs gate what they ran), except :data:`GATE_CASE`, which must be in
-    any full report and stays mandatory whenever the current report
-    contains it. Also fails on any case whose determinism identity check
-    (``identical_metrics``) or delivery cross-check (``delivery_close``)
-    failed, regardless of baseline.
+    runs gate what they ran). Also fails on any case whose determinism
+    identity check (``identical_metrics``) or delivery cross-check
+    (``delivery_close``) failed, regardless of baseline.
     """
     failures: List[str] = []
     if current.get("schema") != baseline.get("schema"):
@@ -823,12 +773,6 @@ def compare_reports(
                 "counts (beyond the horizon-edge tolerance) — plan "
                 "choice changed simulation outcomes"
             )
-    if GATE_CASE not in current_cases and not current.get("only"):
-        # a full suite run must contain the mandatory gate case; only a
-        # declared partial (``--only``) report may omit it
-        failures.append(
-            f"{GATE_CASE}: speedup missing from current report"
-        )
     for name, ratio_key in GATE_RATIOS.items():
         if name not in current_cases or name not in baseline_cases:
             continue

@@ -520,12 +520,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Pinned perf suite → table + BENCH_<rev>.json (+ regression gate)."""
     import json
 
-    from repro.bench import (
-        STORM_TARGET_SPEEDUP,
-        compare_reports,
-        run_suite,
-        write_report,
-    )
+    from repro.bench import compare_reports, run_suite, write_report
 
     try:
         report = run_suite(quick=args.quick, repeats=args.repeats,
@@ -535,31 +530,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     rows = []
     for name, case in report["cases"].items():
-        speedup = case.get("speedup")
         rows.append([
             name,
             f"{case['wall_s']:.3f}",
-            f"{speedup:.2f}x" if speedup is not None else "-",
             {True: "yes", False: "DIVERGED"}.get(
                 case.get("identical_metrics"), "-"
             ),
         ])
     print(format_table(
-        ["case", "wall (s)", "idx/brute speedup", "identical"],
+        ["case", "wall (s)", "identical"],
         rows,
         title=f"perf suite (rev {report['rev']}, "
               f"{'quick' if args.quick else 'full'})",
     ))
     status = 0
-    storm = report["cases"].get("crowd-500-storm")
-    if storm is not None:
-        met = storm["speedup"] >= STORM_TARGET_SPEEDUP
-        print(f"crowd-500-storm speedup: {storm['speedup']:.2f}x "
-              f"(target >= {STORM_TARGET_SPEEDUP:.0f}x: "
-              f"{'met' if met else 'NOT met'})")
     for name, case in report["cases"].items():
         if case.get("identical_metrics") is False:
-            print(f"FAIL {name}: indexed and brute-force runs diverged",
+            print(f"FAIL {name}: runs that must match diverged",
                   file=sys.stderr)
             status = 1
     if not args.no_write:
@@ -913,8 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="pinned perf suite; writes BENCH_<rev>.json"
     )
     bench.add_argument("--quick", action="store_true",
-                       help="smaller cases, skip the 500-device storm "
-                            "(the CI perf-smoke configuration)")
+                       help="smaller cases, skip the 500-device storm")
     bench.add_argument("--repeats", type=int, default=None,
                        help="timed repeats per case, keeping the minimum "
                             "(default: 3, or 2 with --quick)")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+import random
 import time
 import types
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
@@ -35,11 +36,6 @@ from repro.sim.engine import PeriodicProcess, Simulator
 
 #: Scan-result ordering key (strongest signal first via ``reverse=True``).
 _RSSI_KEY = operator.attrgetter("rssi_dbm")
-
-#: Candidate blocks smaller than this run the scalar loop: the fixed
-#: overhead of the numpy calls only pays off once the block is big enough
-#: that most candidates fail the range filter in C instead of Python.
-_VECTOR_MIN_BLOCK = 24
 
 
 class D2DTransferError(RuntimeError):
@@ -320,42 +316,6 @@ class D2DConnection:
         self.medium._break_connection(self, reason)
 
 
-class _SortedCandidateCache:
-    """Memo for the registration-order sort of scan candidate sets.
-
-    The spatial index already caches the *unsorted* merged cell block per
-    ``(cell, k)``; on static crowds every scan from the same neighbourhood
-    then re-filtered and re-sorted that same block. This cache keys the
-    finished (requester-filtered, registration-order-sorted) id list by
-    ``(requester_id, cell, k)`` and stamps it with ``(index version,
-    endpoint count, unindexed-set version)`` — any membership or bin
-    change invalidates every entry. All three components are needed: the
-    index version misses registrations that only touch the unindexable
-    side set, the endpoint count misses a same-window remove+add swap,
-    and the unindexed-set version closes exactly that gap. ``enabled``
-    exists so regression tests can force the re-sort path and prove
-    identical output.
-    """
-
-    __slots__ = ("enabled", "_entries")
-
-    def __init__(self) -> None:
-        self.enabled = True
-        self._entries: Dict[tuple, tuple] = {}
-
-    def get(self, key: tuple, stamp: tuple) -> Optional[List[str]]:
-        if not self.enabled:
-            return None
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] == stamp:
-            return entry[1]
-        return None
-
-    def put(self, key: tuple, stamp: tuple, ids: List[str]) -> None:
-        if self.enabled:
-            self._entries[key] = (stamp, ids)
-
-
 class _VectorBlock:
     """Aligned coordinate arrays for one ``(cell, k)`` candidate block.
 
@@ -367,26 +327,23 @@ class _VectorBlock:
     numpy distance evaluation.
     """
 
-    __slots__ = ("ids", "xs", "ys", "static_flags", "_dynamic")
+    __slots__ = ("ids", "xs", "ys", "_dynamic")
 
     def __init__(self, ids, endpoints, static_pos) -> None:
         n = len(ids)
         xs = _np.empty(n)
         ys = _np.empty(n)
-        static_flags = [False] * n
         dynamic = []
         for i, device_id in enumerate(ids):
             pos = static_pos.get(device_id)
             if pos is not None:
                 xs[i] = pos[0]
                 ys[i] = pos[1]
-                static_flags[i] = True
             else:
                 dynamic.append((i, endpoints[device_id]))
         self.ids = ids
         self.xs = xs
         self.ys = ys
-        self.static_flags = static_flags
         self._dynamic = dynamic
 
     def distances_from(self, origin: Position, t: float):
@@ -396,7 +353,7 @@ class _VectorBlock:
         ``sqrt(dx*dx + dy*dy)`` elementwise is the exact IEEE-754
         operation sequence :func:`repro.mobility.space.distance_between`
         performs (sub, mul, mul, add, sqrt — each correctly rounded), so
-        every element is bit-identical to the scalar path's distance.
+        every element is bit-identical to a per-peer scalar distance.
         """
         xs = self.xs
         ys = self.ys
@@ -439,12 +396,6 @@ class D2DMedium:
         formations — stays exact.
     group_join_discount:
         Fraction of the connection latency/energy a join costs.
-    brute_force:
-        Escape hatch: disable the spatial index and scan every endpoint
-        on each discovery, exactly as the pre-index implementation did.
-        Discovery results are byte-identical either way (same peers, same
-        RSSI draws, same order) — the flag exists for the determinism
-        guard and for A/B benchmarking, not because the results differ.
     index_refresh_s:
         How stale the binned positions of *moving* endpoints may get
         before a scan triggers an incremental re-bin pass. Between
@@ -468,7 +419,6 @@ class D2DMedium:
         allow_undeployed: bool = False,
         group_aware: bool = False,
         group_join_discount: float = 0.5,
-        brute_force: bool = False,
         index_refresh_s: float = 1.0,
         channel: Optional[ChannelModel] = None,
     ) -> None:
@@ -489,7 +439,6 @@ class D2DMedium:
         self.link_check_period_s = link_check_period_s
         self.group_aware = group_aware
         self.group_join_discount = group_join_discount
-        self.brute_force = brute_force
         self.index_refresh_s = index_refresh_s
         self.channel = channel
         if channel is not None:
@@ -501,36 +450,27 @@ class D2DMedium:
         self.perf = PerfCounters()
         self._endpoints: Dict[str, D2DEndpoint] = {}
         #: device_id → fixed position for endpoints whose mobility model
-        #: has a zero speed bound: their position never changes, so scans
-        #: skip the per-candidate ``position(t)`` call entirely. Clearing
-        #: this dict (tests do) falls back to live position lookups.
+        #: has a zero speed bound: their position never changes, so
+        #: coordinate blocks bake it in instead of calling ``position(t)``
+        #: on every scan. Clearing this dict (tests do) falls back to live
+        #: position lookups.
         self._static_pos: Dict[str, Position] = {}
-        #: (requester, cell, k) → (stamp, sorted candidate ids); see
-        #: ``_scan_candidates``. ``enabled=False`` forces full re-sorts.
-        self._sorted_cache = _SortedCandidateCache()
-        #: Kill switch for the numpy block-distance scan path. On by
-        #: default; the determinism guard flips it to prove scalar and
-        #: vectorized scans are byte-identical.
-        self.vectorized = True
-        #: (cell, k) → _VectorBlock | None (None = block below the numpy
-        #: threshold). One *global* stamp covers the whole dict — the
-        #: stamp has no per-key component — so any membership/bin change
-        #: clears it outright, keeping it bounded exactly like the
-        #: index's block cache.
-        self._vector_blocks: Dict[tuple, Optional[_VectorBlock]] = {}
+        #: (cell, k) → _VectorBlock. One *global* stamp covers the whole
+        #: dict — the stamp has no per-key component — so any
+        #: membership/bin change clears it outright, keeping it bounded by
+        #: the number of distinct blocks scanned since the last change.
+        self._vector_blocks: Dict[tuple, _VectorBlock] = {}
         self._vector_blocks_stamp: Optional[tuple] = None
         #: registration order per device — candidate sets from the spatial
         #: index are re-sorted by this so scans examine peers in exactly
         #: the order a full walk of ``_endpoints`` would, keeping RSSI
-        #: noise draws and result ordering identical to brute force.
+        #: noise draws and result ordering independent of the index.
         #: ``_next_seq`` is monotonic (never reused after unregister), so
         #: two different registration histories can never collide on a
         #: sequence number.
         self._seq: Dict[str, int] = {}
         self._next_seq = 0
-        self._index: Optional[SpatialIndex] = (
-            None if brute_force else SpatialIndex(technology.max_range_m)
-        )
+        self._index = SpatialIndex(technology.max_range_m)
         #: endpoints with a finite, nonzero speed bound (rebinned lazily);
         #: refresh passes evaluate them through a TrajectoryBatch rebuilt
         #: whenever the membership version moves
@@ -541,9 +481,9 @@ class D2DMedium:
         #: endpoints whose mobility model has no known speed bound: the
         #: index can't promise they stay near their bin, so scans always
         #: examine them exactly. ``_unindexed_version`` bumps on every
-        #: membership change of this set — it is a cache-stamp component
-        #: because unindexed churn is invisible to both the index version
-        #: and the endpoint count (remove one, add one: both unchanged).
+        #: membership change of this set — it is the vector-block stamp's
+        #: second component because unindexed churn never touches the
+        #: index version.
         self._unindexed: Set[str] = set()
         self._unindexed_version = 0
         self._max_mobile_speed = 0.0
@@ -575,8 +515,6 @@ class D2DMedium:
             # a zero speed bound means the position is time-invariant:
             # memoise it once and spare every future scan the call.
             self._static_pos[device_id] = endpoint.position(self.sim.now)
-        if self._index is None:
-            return
         if max_speed is None:
             self._unindexed.add(device_id)
             self._unindexed_version += 1
@@ -594,19 +532,16 @@ class D2DMedium:
         Breaks its live connections, then drops every trace of it —
         endpoint map, registration sequence, static memo, mobile set,
         unindexed set, spatial index. The sharded kernel churns ghost
-        endpoints through this every sync window, so all the scan-cache
-        stamps must move: the index version covers indexed members, and
-        ``_unindexed_version`` covers the side set (whose churn is
-        invisible to both the index version and the endpoint count).
+        endpoints through this every sync window, so the vector-block
+        stamp must move: the index version covers indexed members, and
+        ``_unindexed_version`` covers the side set.
         """
-        endpoint = self.endpoint(device_id)
+        self.endpoint(device_id)  # keep the unknown-device KeyError contract
         for connection in list(self._adjacency.get(device_id, ())):
             self._break_connection(connection, "peer unregistered")
         del self._endpoints[device_id]
         del self._seq[device_id]
         self._static_pos.pop(device_id, None)
-        if self._index is None:
-            return
         if device_id in self._unindexed:
             self._unindexed.discard(device_id)
             self._unindexed_version += 1
@@ -614,9 +549,9 @@ class D2DMedium:
         if self._mobile.pop(device_id, None) is not None:
             self._mobile_version += 1
         self._index.remove(device_id)
-        # _max_mobile_speed stays a (possibly loose) upper bound on
-        # purpose: queries only ever widen, so candidate supersets remain
-        # supersets and discovery correctness is unaffected.
+        # _max_mobile_speed stays a (possibly loose) upper bound while
+        # movers remain: queries only ever widen, so candidate supersets
+        # remain supersets. _refresh_index drops it once the last leaves.
 
     def endpoint(self, device_id: str) -> D2DEndpoint:
         try:
@@ -729,98 +664,15 @@ class D2DMedium:
             t_section = time.perf_counter()
             t = self.sim.now
             rng = self.sim.rng.get("d2d-discovery") if rssi_noise else None
-            found: List[PeerInfo] = []
-            static_pos = self._static_pos
-            origin = static_pos.get(requester_id)
+            origin = self._static_pos.get(requester_id)
             if origin is None:
                 origin = requester.position(t)
-            perf = self.perf
-            perf.scans += 1
-            # Hot loop: hoist everything invariant out of the candidate walk.
-            link = tech.link
-            probe = link.probe
-            shadowed = link.shadowed
-            estimate_distance = link.estimate_distance
-            max_range = tech.max_range_m
-            link_allowed = self.link_allowed
-            append = found.append
-            static_get = static_pos.get
-            block = (
-                self._vector_block_for(origin, t)
-                if self.vectorized and self._index is not None
-                else None
-            )
-            if block is not None:
-                # Vectorized path: one numpy pass computes every block
-                # distance and discards the out-of-range majority in C.
-                # Reordering the range filter ahead of the advertising
-                # filter is safe for determinism because the survivor set
-                # of *all* filters — the only candidates that reach the
-                # RSSI noise draw — is order-independent, and survivors
-                # are visited in registration order either way.
-                perf.vectorized_scans += 1
-                ids = block.ids
-                perf.scan_candidates_examined += len(ids) - 1
-                distances = block.distances_from(origin, t)
-                keep = _np.nonzero(distances <= max_range)[0]
-                # .tolist() converts to exact python floats, and
-                # probe_block keeps the per-element math bit-identical to
-                # probe — no numpy scalar ever leaks into a PeerInfo.
-                probed = link.probe_block(distances[keep].tolist())
-                endpoints = self._endpoints
-                static_flags = block.static_flags
-                for j, idx in enumerate(keep.tolist()):
-                    device_id = ids[idx]
-                    if device_id == requester_id:
-                        continue
-                    peer = endpoints[device_id]
-                    if not (peer.advertising and peer.powered_on):
-                        continue
-                    if static_flags[idx]:
-                        perf.static_position_hits += 1
-                    mean_rssi = probed[j]
-                    if mean_rssi is None:
-                        continue
-                    if not link_allowed(requester_id, device_id):
-                        continue
-                    rssi = shadowed(mean_rssi, rng)
-                    append(
-                        PeerInfo(
-                            device_id=device_id,
-                            rssi_dbm=rssi,
-                            estimated_distance_m=estimate_distance(rssi),
-                            advertisement=peer.advertisement_view,
-                        )
-                    )
-            else:
-                for peer in self._scan_candidates(requester_id, origin, t):
-                    if not (peer.advertising and peer.powered_on):
-                        continue
-                    peer_pos = static_get(peer.device_id)
-                    if peer_pos is None:
-                        peer_pos = peer.position(t)
-                    else:
-                        perf.static_position_hits += 1
-                    distance = distance_between(origin, peer_pos)
-                    if distance > max_range:
-                        continue
-                    mean_rssi = probe(distance)
-                    if mean_rssi is None:
-                        continue
-                    if not link_allowed(requester_id, peer.device_id):
-                        continue
-                    rssi = shadowed(mean_rssi, rng)
-                    append(
-                        PeerInfo(
-                            device_id=peer.device_id,
-                            rssi_dbm=rssi,
-                            estimated_distance_m=estimate_distance(rssi),
-                            advertisement=peer.advertisement_view,
-                        )
-                    )
+            found = self._scan(requester_id, origin, t, rng)
             # reverse=True keeps insertion order for equal RSSI (stable
             # sort), exactly like the previous ascending negated-key sort.
             found.sort(key=_RSSI_KEY, reverse=True)
+            perf = self.perf
+            perf.scans += 1
             perf.scan_peers_returned += len(found)
             # section ends before the callback: downstream reactions
             # (matching, connects) are not discovery work
@@ -829,73 +681,73 @@ class D2DMedium:
 
         self.sim.schedule(tech.discovery_latency_s, finish, name="d2d_discover")
 
-    def _scan_candidates(
-        self, requester_id: str, origin: Position, t: float
-    ) -> List[D2DEndpoint]:
-        """Endpoints a scan must examine, in registration order.
+    def _scan(
+        self,
+        requester_id: str,
+        origin: Position,
+        t: float,
+        rng: Optional[random.Random],
+    ) -> List[PeerInfo]:
+        """Advertising, reachable peers in range of ``origin`` at ``t``.
 
-        With the spatial index on, this is the union of the index's
-        candidate cells (range + drift slack) and the always-checked
-        unindexable set — a superset of every in-range peer, usually a
-        tiny fraction of the crowd. Brute force (or no index) returns
-        everyone. Registration-order iteration keeps the RSSI noise
-        stream and the result ordering identical across both paths.
+        One numpy pass over the shared ``(cell, k)`` coordinate block
+        computes every candidate distance and discards the out-of-range
+        majority in C. Reordering the range filter ahead of the
+        advertising filter is safe for determinism because the survivor
+        set of *all* filters — the only candidates that reach the RSSI
+        noise draw — is order-independent, and survivors are visited in
+        registration order, exactly as a walk over every endpoint would
+        visit them. The test suite keeps that walk as the oracle.
         """
+        block = self._vector_block_for(origin, t)
         perf = self.perf
-        index = self._index
-        if index is None:
-            perf.brute_force_scans += 1
-            candidates = [
-                peer
-                for device_id, peer in self._endpoints.items()
-                if device_id != requester_id
-            ]
-            perf.scan_candidates_examined += len(candidates)
-            return candidates
-        self._refresh_index(t)
-        slack = self._max_mobile_speed * (t - self._last_refresh_s)
-        reach = self.technology.max_range_m + slack
-        # Incremental re-sort: the filtered, registration-order-sorted id
-        # list for a (requester, cell block) pair is cached and reused
-        # while neither the index nor the endpoint set has changed —
-        # mirrors query_block's (cell, k) key so the cache is exact.
-        cell = index._cell_of(origin)
-        k = max(0, math.ceil(reach / index.cell_size_m))
-        cache_key = (requester_id, cell, k)
-        stamp = (index._version, len(self._endpoints), self._unindexed_version)
-        cached_ids = self._sorted_cache.get(cache_key, stamp)
-        if cached_ids is not None:
-            perf.sorted_cache_hits += 1
-            ids = cached_ids
-        else:
-            # query_block returns a cached, shared list — never mutate it;
-            # the requester filter below rebinds to a fresh list either way.
-            ids = index.query_block(origin, self.technology.max_range_m, slack)
-            if self._unindexed:
-                merged = set(ids)
-                merged.update(self._unindexed)
-                ids = list(merged)
-            ids = [device_id for device_id in ids if device_id != requester_id]
-            ids.sort(key=self._seq.__getitem__)
-            self._sorted_cache.put(cache_key, stamp, ids)
-            # counted only on the miss path: a sorted-cache hit never
-            # touches the index, so hits and queries stay disjoint.
-            perf.index_queries += 1
-        perf.index_block_cache_hits = index.block_cache_hits
-        perf.scan_candidates_examined += len(ids)
+        perf.vectorized_scans += 1
+        ids = block.ids
+        perf.scan_candidates_examined += len(ids) - 1
+        link = self.technology.link
+        distances = block.distances_from(origin, t)
+        keep = _np.nonzero(distances <= self.technology.max_range_m)[0]
+        # .tolist() converts to exact python floats, and probe_block keeps
+        # the per-element math bit-identical to probe — no numpy scalar
+        # ever leaks into a PeerInfo.
+        probed = link.probe_block(distances[keep].tolist())
+        shadowed = link.shadowed
+        estimate_distance = link.estimate_distance
+        link_allowed = self.link_allowed
         endpoints = self._endpoints
-        return [endpoints[device_id] for device_id in ids]
+        found: List[PeerInfo] = []
+        for j, idx in enumerate(keep.tolist()):
+            device_id = ids[idx]
+            if device_id == requester_id:
+                continue
+            peer = endpoints[device_id]
+            if not (peer.advertising and peer.powered_on):
+                continue
+            mean_rssi = probed[j]
+            if mean_rssi is None:
+                continue
+            if not link_allowed(requester_id, device_id):
+                continue
+            rssi = shadowed(mean_rssi, rng)
+            found.append(
+                PeerInfo(
+                    device_id=device_id,
+                    rssi_dbm=rssi,
+                    estimated_distance_m=estimate_distance(rssi),
+                    advertisement=peer.advertisement_view,
+                )
+            )
+        return found
 
-    def _vector_block_for(
-        self, origin: Position, t: float
-    ) -> Optional[_VectorBlock]:
+    def _vector_block_for(self, origin: Position, t: float) -> _VectorBlock:
         """The shared coordinate block for scans from ``origin``'s cell.
 
-        ``None`` when the merged block is below ``_VECTOR_MIN_BLOCK`` —
-        the too-small verdict is memoised per ``(cell, k)`` so boundary
-        scans don't re-derive it every time. The whole dict is cleared
-        when the (global) stamp moves, which bounds it by the number of
-        distinct blocks scanned since the last membership/bin change.
+        The block merges the index's ``(2k+1)²`` candidate cells (range +
+        drift slack) with the always-checked unindexed set. The whole dict
+        is cleared when the global stamp moves: every register and
+        unregister bumps either the index version or
+        ``_unindexed_version``, and every cross-cell rebin bumps the
+        index version, so a stamp match means no block membership changed.
         """
         index = self._index
         self._refresh_index(t)
@@ -903,29 +755,23 @@ class D2DMedium:
         max_range = self.technology.max_range_m
         cell = index._cell_of(origin)
         k = max(0, math.ceil((max_range + slack) / index.cell_size_m))
-        stamp = (index._version, len(self._endpoints), self._unindexed_version)
+        stamp = (index._version, self._unindexed_version)
         blocks = self._vector_blocks
         if stamp != self._vector_blocks_stamp:
             blocks.clear()
             self._vector_blocks_stamp = stamp
         key = (cell, k)
-        if key in blocks:
-            return blocks[key]
-        perf = self.perf
+        block = blocks.get(key)
+        if block is not None:
+            return block
         ids = index.query_block(origin, max_range, slack)
-        if self._unindexed:
-            merged = set(ids)
-            merged.update(self._unindexed)
-            ids = list(merged)
-        perf.index_queries += 1
-        perf.index_block_cache_hits = index.block_cache_hits
-        if len(ids) < _VECTOR_MIN_BLOCK:
-            blocks[key] = None
-            return None
-        # query_block's list is shared — sorted() rebinds, never mutates.
-        ids = sorted(ids, key=self._seq.__getitem__)
+        # indexed and unindexed endpoints are disjoint, so no duplicates
+        ids.extend(self._unindexed)
+        ids.sort(key=self._seq.__getitem__)
         block = _VectorBlock(ids, self._endpoints, self._static_pos)
         blocks[key] = block
+        perf = self.perf
+        perf.index_queries += 1
         perf.vector_block_builds += 1
         return block
 
@@ -936,13 +782,19 @@ class D2DMedium:
         straight-line movers are evaluated in one numpy multiply-add
         instead of N ``position()`` calls. Update order (affine block
         first, then the exact remainder) differs from dict order, but the
-        index only bins candidates — scan paths re-sort by registration
+        index only bins candidates — scans re-sort by registration
         sequence — so discovery output is unaffected.
+
+        With no movers left there is no drift, so the speed bound drops to
+        zero; kept, it would widen every later scan by ``speed × time since
+        the last mover left`` without limit.
         """
-        if not self._mobile or t - self._last_refresh_s < self.index_refresh_s:
+        if not self._mobile:
+            self._max_mobile_speed = 0.0
+            return
+        if t - self._last_refresh_s < self.index_refresh_s:
             return
         index = self._index
-        assert index is not None
         batch = self._mobile_batch
         if batch is None or self._mobile_batch_version != self._mobile_version:
             batch = TrajectoryBatch(

@@ -70,14 +70,16 @@ class LinkModel:
         return value
 
     def probe(self, distance_m: float) -> Optional[float]:
-        """One-pass :meth:`in_range` + mean :meth:`rssi` for the scan path.
+        """One-pass :meth:`in_range` + mean :meth:`rssi` for one peer.
 
         ``None`` when the mean RSSI at ``distance_m`` is below sensitivity
         (out of range), else the mean RSSI. Computes the path-loss formula
         once where separate ``in_range()`` + ``rssi()`` calls compute it
         twice. No noise: callers apply :meth:`shadowed` only after the
         candidate passes every filter, so the RNG draw sequence matches
-        the separate-call code exactly.
+        the separate-call code exactly. The scan uses the batched
+        :meth:`probe_block`; this per-peer form is the reference the
+        test suite's brute-force oracle calls.
         """
         value = rssi_at(
             distance_m,
@@ -98,8 +100,8 @@ class LinkModel:
         :func:`rssi_at` on purpose — ``numpy.log10`` is not guaranteed
         correctly rounded, and the sensitivity cutoff sits on the result,
         so a last-ulp difference could flip a candidate in or out of
-        range and desynchronize the RSSI noise stream between the
-        vectorized and scalar scan paths.
+        range and desynchronize the RSSI noise stream between the block
+        scan and a per-peer :meth:`probe` walk (the test suite's oracle).
         """
         tx = self.tx_power_dbm
         ref_db = self.path_loss_at_ref_db

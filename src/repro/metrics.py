@@ -222,8 +222,8 @@ class RunMetrics:
         """:meth:`to_dict` minus observability-only fields.
 
         This is the form two runs of the same scenario must agree on
-        byte-for-byte regardless of which acceleration paths (spatial
-        index vs. brute force) computed them.
+        byte-for-byte regardless of which scan (the indexed one or the
+        test suite's brute-force oracle) computed them.
         """
         data = self.to_dict()
         data.pop("perf", None)

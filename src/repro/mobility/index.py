@@ -47,9 +47,7 @@ class SpatialIndex:
         "_cells",
         "_where",
         "_version",
-        "_block_cache",
         "queries",
-        "block_cache_hits",
         "updates",
         "moves",
     )
@@ -61,13 +59,11 @@ class SpatialIndex:
         #: cell → {device_id: None} (dict for O(1) removal, stable order)
         self._cells: Dict[Cell, Dict[str, None]] = {}
         self._where: Dict[str, Cell] = {}
-        #: bumped on every membership/bin change; stamps block-cache entries
+        #: bumped on every membership/bin change; owners stamp caches of
+        #: query results with it
         self._version = 0
-        #: (cell, reach_cells) → (version, merged id list) — see query_block
-        self._block_cache: Dict[Tuple[Cell, int], Tuple[int, List[str]]] = {}
         # observability counters (read by repro.perf consumers)
         self.queries = 0
-        self.block_cache_hits = 0
         self.updates = 0
         self.moves = 0
 
@@ -90,7 +86,7 @@ class SpatialIndex:
         cell = self._cell_of(pos)
         self._cells.setdefault(cell, {})[device_id] = None
         self._where[device_id] = cell
-        self._bump_version()
+        self._version += 1
 
     def remove(self, device_id: str) -> None:
         """Drop a device from the index; unknown ids are ignored."""
@@ -102,7 +98,7 @@ class SpatialIndex:
             bucket.pop(device_id, None)
             if not bucket:
                 del self._cells[cell]
-        self._bump_version()
+        self._version += 1
 
     def update(self, device_id: str, pos: Position) -> None:
         """Rebin a device after it moved — O(1), no-op if the cell held."""
@@ -120,20 +116,7 @@ class SpatialIndex:
             self.moves += 1
         self._cells.setdefault(new_cell, {})[device_id] = None
         self._where[device_id] = new_cell
-        self._bump_version()
-
-    def _bump_version(self) -> None:
-        """Invalidate cached block queries after a membership/bin change.
-
-        Every block-cache entry is stamped with the pre-bump version, so
-        after a bump *all* of them are stale; dropping them outright keeps
-        the cache bounded by the number of distinct ``(cell, k)`` blocks
-        queried since the last change, instead of every block ever queried
-        over the run (which grows without bound under sustained movement).
-        """
         self._version += 1
-        if self._block_cache:
-            self._block_cache.clear()
 
     # ------------------------------------------------------------------
     def query_neighbors(
@@ -169,39 +152,29 @@ class SpatialIndex:
     def query_block(
         self, pos: Position, radius_m: float, slack_m: float = 0.0
     ) -> List[str]:
-        """Cached block query: a (possibly wider) superset of
+        """Block query: a (possibly wider) superset of
         :meth:`query_neighbors`.
 
         Merges the ``(2k+1)²`` cells within ``k = ceil(reach / cell_size)``
         of the query's own cell — a conservative cover of the query disc
         regardless of where in its cell ``pos`` falls, which is what makes
-        the result cacheable per *(cell, k)* instead of per position. The
-        cache is stamped with the index version and invalidated by any
-        membership or bin change, so static crowds (the common case)
-        resolve repeat scans from the same neighbourhood with one dict
-        lookup. **Callers must not mutate the returned list.**
+        the result cacheable per *(cell, k)* instead of per position
+        (:class:`~repro.d2d.base.D2DMedium` caches it, stamped with
+        ``_version``). Returns a fresh list the caller owns.
         """
         self.queries += 1
         reach = radius_m + slack_m
         if reach < 0:
             return []
-        cell = self._cell_of(pos)
+        cx, cy = self._cell_of(pos)
         k = max(0, math.ceil(reach / self.cell_size_m))
-        key = (cell, k)
-        cached = self._block_cache.get(key)
-        version = self._version
-        if cached is not None and cached[0] == version:
-            self.block_cache_hits += 1
-            return cached[1]
         cells = self._cells
-        cx, cy = cell
         found: List[str] = []
         for x in range(cx - k, cx + k + 1):
             for y in range(cy - k, cy + k + 1):
                 bucket = cells.get((x, y))
                 if bucket:
                     found.extend(bucket)
-        self._block_cache[key] = (version, found)
         return found
 
     def cell_population(self) -> List[int]:

@@ -14,10 +14,10 @@ def distance_between(a: Position, b: Position) -> float:
 
     Deliberately ``sqrt(dx² + dy²)`` rather than ``math.hypot``: hypot's
     overflow-safe scaling rounds differently in the last ulp, and the
-    vectorized scan path computes distances as ``numpy.sqrt(dx*dx +
-    dy*dy)`` over whole candidate blocks. Both IEEE-754 operation
-    sequences are identical, which is what keeps vectorized and scalar
-    discovery byte-for-byte interchangeable under the determinism guard.
+    discovery scan computes distances as ``numpy.sqrt(dx*dx + dy*dy)``
+    over whole candidate blocks. Both IEEE-754 operation sequences are
+    identical, which is what keeps the block scan byte-for-byte equal to
+    the determinism guard's per-peer brute-force oracle.
     Coordinates are metres in city-scale arenas, so the overflow regime
     hypot protects against is unreachable.
     """

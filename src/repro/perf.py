@@ -13,8 +13,8 @@ name. Everything folds into a flat ``{name: number}`` dict via
 
 These numbers are **observability, not results**: two runs that produce
 identical simulation output (the determinism guard's contract) may book
-different counter values — e.g. a brute-force scan examines N candidates
-where an indexed scan examines only the local ones.
+different counter values — e.g. a run scanned by the test suite's
+brute-force oracle books no index queries at all.
 """
 
 from __future__ import annotations
@@ -32,14 +32,10 @@ class PerfCounters:
         "scan_candidates_examined",
         "scan_peers_returned",
         "scan_cache_served",
-        "brute_force_scans",
         "index_queries",
-        "index_block_cache_hits",
         "index_updates",
         "index_moves",
         "index_rebuild_passes",
-        "static_position_hits",
-        "sorted_cache_hits",
         "vectorized_scans",
         "vector_block_builds",
         "_timers",
@@ -55,23 +51,16 @@ class PerfCounters:
         #: discovery requests served from a detector's still-fresh cache
         #: (no radio work at all — the cheapest scan is the one not made)
         self.scan_cache_served = 0
-        #: scans that walked every endpoint (escape hatch / no index)
-        self.brute_force_scans = 0
         #: spatial-index range queries issued
         self.index_queries = 0
-        #: queries served from the index's version-stamped block cache
-        self.index_block_cache_hits = 0
         #: incremental position updates applied to the index
         self.index_updates = 0
         #: updates that actually crossed a cell boundary
         self.index_moves = 0
         #: lazy refresh passes over the mobile-endpoint set
         self.index_rebuild_passes = 0
-        #: per-candidate position() calls skipped for static endpoints
-        self.static_position_hits = 0
-        #: scans whose candidate sort was served from the re-sort memo
-        self.sorted_cache_hits = 0
-        #: scans whose distance math ran on the numpy block path
+        #: scans whose distance math ran on the numpy block path (every
+        #: scan; kept while bench reports read it)
         self.vectorized_scans = 0
         #: aligned coordinate-block (re)builds behind vectorized scans
         self.vector_block_builds = 0
@@ -105,7 +94,7 @@ class PerfCounters:
     # ------------------------------------------------------------------
     @property
     def mean_candidates_per_scan(self) -> float:
-        """Average endpoints examined per scan (N for brute force)."""
+        """Average endpoints examined per scan."""
         return (
             self.scan_candidates_examined / self.scans if self.scans else 0.0
         )
@@ -117,14 +106,10 @@ class PerfCounters:
             "scan_candidates_examined": self.scan_candidates_examined,
             "scan_peers_returned": self.scan_peers_returned,
             "scan_cache_served": self.scan_cache_served,
-            "brute_force_scans": self.brute_force_scans,
             "index_queries": self.index_queries,
-            "index_block_cache_hits": self.index_block_cache_hits,
             "index_updates": self.index_updates,
             "index_moves": self.index_moves,
             "index_rebuild_passes": self.index_rebuild_passes,
-            "static_position_hits": self.static_position_hits,
-            "sorted_cache_hits": self.sorted_cache_hits,
             "vectorized_scans": self.vectorized_scans,
             "vector_block_builds": self.vector_block_builds,
             "mean_candidates_per_scan": self.mean_candidates_per_scan,

@@ -72,17 +72,12 @@ def build_network(
     technology: Optional[D2DTechnology] = WIFI_DIRECT,
     allow_undeployed: bool = False,
     group_aware: bool = False,
-    brute_force: bool = False,
     channel: Optional[str] = None,
     allocator: str = "centralized",
     num_rbs: int = 6,
     shadowing_sigma_db: Optional[float] = None,
 ) -> NetworkContext:
     """Wire up simulator, signaling ledger, base station, server, medium.
-
-    ``brute_force=True`` disables the medium's spatial index (every scan
-    walks all endpoints) — the determinism guard's escape hatch and the
-    bench's reference mode. Results must be identical either way.
 
     ``channel`` selects the transfer model: ``None``/``"fixed"`` keeps
     the calibrated fixed-cost constants (the default, byte-identical to
@@ -120,8 +115,7 @@ def build_network(
             )
         medium = D2DMedium(
             sim, technology, profile=profile, allow_undeployed=allow_undeployed,
-            group_aware=group_aware, brute_force=brute_force,
-            channel=channel_model,
+            group_aware=group_aware, channel=channel_model,
         )
     return NetworkContext(
         sim=sim,
@@ -396,7 +390,6 @@ def run_relay_scenario(
     ue_phases: Optional[Sequence[float]] = None,
     keep_energy_log: bool = False,
     group_aware: bool = False,
-    brute_force: bool = False,
     chaos=None,
     chaos_seed: Optional[int] = None,
     audit: Optional[bool] = None,
@@ -437,7 +430,6 @@ def run_relay_scenario(
         technology=technology if mode == "d2d" else None,
         allow_undeployed=allow_undeployed,
         group_aware=group_aware,
-        brute_force=brute_force,
         channel=channel,
         allocator=allocator,
         num_rbs=num_rbs,
@@ -872,7 +864,6 @@ def run_crowd_scenario(
     match_config: Optional[MatchConfig] = None,
     drain_s: float = DEFAULT_DRAIN_S,
     relay_selection: str = "roundrobin",
-    brute_force: bool = False,
     pre_run: Optional[Callable[[NetworkContext, Dict[str, Smartphone]], None]] = None,
     chaos=None,
     chaos_seed: Optional[int] = None,
@@ -909,7 +900,6 @@ def run_crowd_scenario(
         profile=profile,
         rrc_profile=rrc_profile,
         technology=technology if mode == "d2d" else None,
-        brute_force=brute_force,
         channel=channel,
         allocator=allocator,
         num_rbs=num_rbs,

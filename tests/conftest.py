@@ -2,16 +2,72 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.cellular.basestation import BaseStation
 from repro.cellular.signaling import SignalingLedger
-from repro.d2d.base import D2DMedium
+from repro.d2d.base import D2DMedium, PeerInfo
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel
 from repro.energy.profiles import DEFAULT_PROFILE
+from repro.mobility.space import distance_between
 from repro.sim.engine import Simulator
 from repro.workload.server import IMServer
+
+
+def brute_force_scan(medium, requester_id, origin, t, rng):
+    """The discovery oracle: a pure-Python walk over every endpoint.
+
+    Drop-in for :meth:`D2DMedium._scan`. Visits endpoints in registration
+    order (``_endpoints`` is insertion-ordered), computes each distance
+    from a live ``position(t)`` and filters peer by peer, so it shares
+    neither the spatial index's candidate selection nor the numpy block
+    math with the real scan. Identical output from both pins the two at
+    once: same peers, same RSSI draws from the same RNG order.
+    """
+    tech = medium.technology
+    link = tech.link
+    found = []
+    for device_id, peer in medium._endpoints.items():
+        if device_id == requester_id or not (peer.advertising and peer.powered_on):
+            continue
+        distance = distance_between(origin, peer.position(t))
+        if distance > tech.max_range_m:
+            continue
+        mean_rssi = link.probe(distance)
+        if mean_rssi is None:
+            continue
+        if not medium.link_allowed(requester_id, device_id):
+            continue
+        rssi = link.shadowed(mean_rssi, rng)
+        found.append(
+            PeerInfo(
+                device_id=device_id,
+                rssi_dbm=rssi,
+                estimated_distance_m=link.estimate_distance(rssi),
+                advertisement=peer.advertisement_view,
+            )
+        )
+    return found
+
+
+@pytest.fixture
+def brute_force():
+    """Context manager: inside it, every medium scans with the oracle.
+
+    ``with brute_force(): run()`` replays a run with
+    :func:`brute_force_scan` in place of the indexed scan.
+    """
+
+    @contextlib.contextmanager
+    def oracle():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(D2DMedium, "_scan", brute_force_scan)
+            yield
+
+    return oracle
 
 
 @pytest.fixture

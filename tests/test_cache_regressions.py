@@ -1,16 +1,20 @@
-"""Regression tests for two latent discovery-cache bugs.
+"""Regression tests for latent discovery-cache bugs.
 
-Both caches sit on the scan hot path and both had stamps that missed a
-class of invalidating change:
+The scan's one cache is ``D2DMedium._vector_blocks``: registration-order
+sorted candidate blocks per ``(cell, k)``, all stamped with one global
+``(index version, unindexed-set version)``. Earlier caches on the same
+hot path had stamps that missed a class of invalidating change:
 
-1. ``D2DMedium``'s sorted-candidate cache stamped entries with
-   ``(index version, endpoint count)`` — blind to *unindexed-set churn*.
-   Unregistering one unindexable device and registering another in the
-   same window leaves both components unchanged, so scans served a stale
-   id list (omitting the newcomer, and KeyError-ing on the departed id).
-2. ``SpatialIndex._block_cache`` never evicted stale-version entries, so
-   a mobile crowd querying from ever-new cells grew the cache without
-   bound over a long run.
+1. A sorted-candidate cache stamped ``(index version, endpoint count)``
+   was blind to *unindexed-set churn*. Unregistering one unindexable
+   device and registering another in the same window leaves both
+   components unchanged, so scans served a stale id list (omitting the
+   newcomer, and KeyError-ing on the departed id).
+2. A block cache never evicted stale-version entries, so a mobile crowd
+   querying from ever-new cells grew the cache without bound.
+3. Once the last mover unregistered, the drift bound kept its old speed,
+   so scan slack grew with the time since the last index refresh and
+   every scan merged ever more cells.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ import pytest
 
 from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
-from repro.mobility.index import SpatialIndex
-from repro.mobility.models import MobilityModel, StaticMobility
+from repro.mobility.models import LinearMobility, MobilityModel, StaticMobility
 from repro.sim.engine import Simulator
 
 
@@ -75,7 +78,7 @@ class TestSortedCandidateStamp:
         assert [p.device_id for p in found] == ["peer-b"]
 
     def test_sorted_cache_still_hits_when_membership_is_stable(self):
-        """The widened stamp must not break the cache's happy path."""
+        """The two-part stamp must not break the cache's happy path."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         scanner = D2DEndpoint("scanner", StaticMobility((0.0, 0.0)))
@@ -86,7 +89,7 @@ class TestSortedCandidateStamp:
 
         _scan(medium, sim, "scanner", 3.0)
         _scan(medium, sim, "scanner", 6.0)
-        assert medium.perf.sorted_cache_hits == 1
+        assert medium.perf.vector_block_builds == 1
 
     def test_unregister_breaks_connections_and_forgets_the_endpoint(self):
         sim = Simulator(seed=1)
@@ -109,8 +112,6 @@ class TestSortedCandidateStamp:
         medium.register(D2DEndpoint("b", StaticMobility((4.0, 0.0))))
 
     def test_unregister_indexed_mobile_endpoint_drops_it_from_the_index(self):
-        from repro.mobility.models import LinearMobility
-
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
@@ -123,25 +124,121 @@ class TestSortedCandidateStamp:
         assert [p.device_id for p in _scan(medium, sim, "scanner", 3.0)] == []
 
 
+    def test_same_instant_churn_matches_the_oracle(self, brute_force):
+        """Ghost-style churn: between scans, peers leave and come back
+        under the same id at the same instant, at a new position —
+        indexed peers after even rounds, unindexed ones after odd rounds,
+        so each stamp component alone must catch its half. Every swap
+        keeps the endpoint count."""
+
+        def place(medium, kind, i, shift):
+            if kind == "ghost":
+                mobility = StaticMobility((6.0 * i + 3.0 + shift, 4.0))
+            else:
+                mobility = UnboundedMobility((4.0, 6.0 * i + 3.0 + shift))
+            peer = D2DEndpoint(f"{kind}-{i}", mobility)
+            peer.advertising = True
+            medium.register(peer)
+
+        def run():
+            sim = Simulator(seed=4)
+            medium = D2DMedium(sim, WIFI_DIRECT)
+            medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
+            for i in range(4):
+                place(medium, "ghost", i, 0.0)
+                place(medium, "free", i, 0.0)
+            observations = []
+            for round_no in range(6):
+                found = _scan(medium, sim, "scanner", 10.0 * round_no + 3.0)
+                observations.append([(p.device_id, p.rssi_dbm) for p in found])
+                kind = "ghost" if round_no % 2 == 0 else "free"
+                shift = 40.0 if round_no % 4 < 2 else 0.0
+                for i in range(4):
+                    medium.unregister(f"{kind}-{i}")
+                    place(medium, kind, i, shift)
+            return medium, observations
+
+        medium, indexed = run()
+        assert medium.perf.vector_block_builds == 6
+        with brute_force():
+            __, brute = run()
+        assert indexed == brute
+        # the shifted rounds drop peers out of range: the churn is visible
+        assert len({len(found) for found in indexed}) > 1
+
 class TestBlockCacheBound:
     def test_block_cache_stays_bounded_under_sustained_movement(self):
-        """A mover querying from ever-new cells must not accumulate one
-        cache entry per cell it ever visited."""
-        index = SpatialIndex(50.0)
-        index.insert("walker", (0.0, 0.0))
-        pos = (0.0, 0.0)
+        """A mover scanning from ever-new cells must not accumulate one
+        coordinate block per cell it ever visited."""
+        sim = Simulator(seed=1)
+        medium = D2DMedium(sim, WIFI_DIRECT)
+        medium.register(D2DEndpoint("walker", LinearMobility((0.0, 0.0), (15.0, 0.0))))
+        medium.register(D2DEndpoint("rock", StaticMobility((5.0, 0.0))))
         for step in range(1, 201):
-            pos = (step * 75.0, 0.0)  # crosses a cell boundary every step
-            index.update("walker", pos)
-            index.query_block(pos, 50.0)
-        assert len(index._block_cache) <= 4
+            # crosses a 50 m cell boundary every few scans
+            _scan(medium, sim, "walker", step * 2.0)
+            assert len(medium._vector_blocks) <= 2
+        assert medium.perf.vector_block_builds > 50
 
     def test_block_cache_still_serves_repeat_queries(self):
-        """Eviction on version bump must not cost the static-crowd win."""
-        index = SpatialIndex(50.0)
-        index.insert("a", (10.0, 10.0))
-        index.insert("b", (20.0, 10.0))
-        first = index.query_block((12.0, 12.0), 50.0)
-        again = index.query_block((12.0, 12.0), 50.0)
-        assert again is first
-        assert index.block_cache_hits == 1
+        """Eviction on stamp moves must not cost the static-crowd win:
+        every requester scanning from one cell shares one block."""
+        sim = Simulator(seed=1)
+        medium = D2DMedium(sim, WIFI_DIRECT)
+        for device_id, pos in (("a", (10.0, 10.0)), ("b", (20.0, 10.0))):
+            medium.register(D2DEndpoint(device_id, StaticMobility(pos)))
+        _scan(medium, sim, "a", 3.0)
+        first = dict(medium._vector_blocks)
+        _scan(medium, sim, "b", 6.0)
+        assert medium._vector_blocks == first
+        assert medium.perf.vector_block_builds == 1
+
+
+class TestMoverSlack:
+    def test_slack_drops_to_zero_once_the_last_mover_leaves(self, brute_force):
+        """With no movers there is no drift: a scan long after the last
+        mover unregistered must merge only the 3x3 cells of its own range
+        (``k == 1``), not ``speed × elapsed`` worth of extra rings."""
+
+        def run():
+            sim = Simulator(seed=1)
+            medium = D2DMedium(sim, WIFI_DIRECT)
+            medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
+            peer = D2DEndpoint("peer", StaticMobility((5.0, 0.0)))
+            peer.advertising = True
+            medium.register(peer)
+            medium.register(
+                D2DEndpoint("mover", LinearMobility((10.0, 0.0), (1.5, 0.0)))
+            )
+            medium.unregister("mover")
+            sim.run_until(10_000.0)
+            found = _scan(medium, sim, "scanner", 10_003.0)
+            return medium, [(p.device_id, p.rssi_dbm) for p in found]
+
+        medium, indexed = run()
+        assert [k for __, k in medium._vector_blocks] == [1]
+        with brute_force():
+            __, brute = run()
+        assert indexed == brute
+        assert [device_id for device_id, __ in indexed] == ["peer"]
+
+    def test_slack_covers_a_mover_that_drifted_into_range(self, brute_force):
+        """Between index refreshes a mover's bin goes stale; the scan's
+        widened reach must still find it once it has drifted in range."""
+
+        def run():
+            sim = Simulator(seed=1)
+            medium = D2DMedium(sim, WIFI_DIRECT, index_refresh_s=10.0)
+            medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
+            # binned two cells west at t=0, 40 m out when the scan completes
+            mover = D2DEndpoint("mover", LinearMobility((-60.0, 0.0), (10.0, 0.0)))
+            mover.advertising = True
+            medium.register(mover)
+            found = _scan(medium, sim, "scanner", 3.0)
+            return [(p.device_id, p.rssi_dbm) for p in found]
+
+        indexed = run()
+        with brute_force():
+            brute = run()
+        assert indexed == brute
+        assert [device_id for device_id, __ in indexed] == ["mover"]

@@ -1,10 +1,12 @@
 """Determinism guard: indexed discovery must be byte-identical to brute force.
 
-The spatial index is an acceleration structure only — for any seed it must
-produce the same peers, the same RSSI draws (RNG consumed in the same
-order), and the same result ordering as the O(N) brute-force scan. These
-tests pin that contract at two levels: raw `D2DMedium.discover` output and
-full crowd-scenario `RunMetrics`.
+The spatial index and the numpy block scan are acceleration only — for
+any seed the scan must produce the same peers, the same RSSI draws (RNG
+consumed in the same order), and the same result ordering as the O(N)
+brute-force walk. The walk lives in ``tests/conftest.py`` as the
+``brute_force`` oracle fixture; these tests pin the contract at two
+levels: raw `D2DMedium.discover` output and full crowd-scenario
+`RunMetrics`.
 """
 
 from repro.d2d.base import D2DEndpoint, D2DMedium
@@ -19,11 +21,11 @@ from repro.sim.engine import Simulator
 SEEDS = (0, 1, 2)
 
 
-def _run_discovery_rounds(seed, brute_force, tweak=None):
+def _run_discovery_rounds(seed, tweak=None):
     """Scatter endpoints (static + mobile), run repeated interleaved scans,
     and return every (scan, peer, rssi, distance) observation in order."""
     sim = Simulator(seed=seed)
-    medium = D2DMedium(sim, WIFI_DIRECT, brute_force=brute_force)
+    medium = D2DMedium(sim, WIFI_DIRECT)
     for i in range(30):
         pos = (float((i * 37) % 240), float((i * 59) % 240))
         if i % 5 == 0:
@@ -60,11 +62,23 @@ def _run_discovery_rounds(seed, brute_force, tweak=None):
     return observations, sim.events_fired
 
 
+def _assert_crowd_matches_oracle(brute_force, **kwargs):
+    indexed = run_crowd_scenario(**kwargs)
+    with brute_force():
+        brute = run_crowd_scenario(**kwargs)
+    assert (
+        indexed.metrics.to_comparable_dict()
+        == brute.metrics.to_comparable_dict()
+    ), f"crowd metrics diverged from the oracle for {kwargs}"
+    return indexed, brute
+
+
 class TestDiscoveryIdentity:
-    def test_indexed_scan_matches_brute_force_exactly(self):
+    def test_indexed_scan_matches_brute_force_exactly(self, brute_force):
         for seed in SEEDS:
-            indexed, indexed_events = _run_discovery_rounds(seed, brute_force=False)
-            brute, brute_events = _run_discovery_rounds(seed, brute_force=True)
+            indexed, indexed_events = _run_discovery_rounds(seed)
+            with brute_force():
+                brute, brute_events = _run_discovery_rounds(seed)
             # Same peers, same RSSI draws, same ordering — not just same sets.
             assert indexed == brute, f"discovery diverged for seed {seed}"
             assert indexed_events == brute_events
@@ -72,9 +86,10 @@ class TestDiscoveryIdentity:
 
 
 class TestCrowdMetricsIdentity:
-    def test_crowd_metrics_identical_across_seeds(self):
+    def test_crowd_metrics_identical_across_seeds(self, brute_force):
         for seed in SEEDS:
-            kwargs = dict(
+            _assert_crowd_matches_oracle(
+                brute_force,
                 n_devices=40,
                 relay_fraction=0.25,
                 duration_s=120.0,
@@ -82,68 +97,48 @@ class TestCrowdMetricsIdentity:
                 mobile_fraction=0.3,
                 seed=seed,
             )
-            indexed = run_crowd_scenario(brute_force=False, **kwargs)
-            brute = run_crowd_scenario(brute_force=True, **kwargs)
-            assert (
-                indexed.metrics.to_comparable_dict()
-                == brute.metrics.to_comparable_dict()
-            ), f"crowd metrics diverged for seed {seed}"
 
-    def test_perf_counters_reflect_the_chosen_path(self):
-        """Sanity: the two paths really did take different code routes."""
-        indexed = run_crowd_scenario(
-            n_devices=20, duration_s=60.0, seed=0, brute_force=False
+    def test_perf_counters_reflect_the_chosen_path(self, brute_force):
+        """Sanity: the scan and the oracle really took different routes."""
+        indexed, brute = _assert_crowd_matches_oracle(
+            brute_force, n_devices=20, duration_s=60.0, seed=0
         )
-        brute = run_crowd_scenario(
-            n_devices=20, duration_s=60.0, seed=0, brute_force=True
-        )
-        assert indexed.metrics.perf["index_queries"] > 0
-        assert indexed.metrics.perf["brute_force_scans"] == 0
-        assert brute.metrics.perf["brute_force_scans"] > 0
+        perf = indexed.metrics.perf
+        assert perf["index_queries"] > 0
+        assert perf["vectorized_scans"] == perf["scans"] > 0
         assert brute.metrics.perf["index_queries"] == 0
+        assert brute.metrics.perf["vectorized_scans"] == 0
 
 
 class TestScanFastPathIdentity:
-    """The discovery fast paths are accelerations, never behaviour.
+    """The discovery memos are accelerations, never behaviour.
 
-    Static-position memoisation and the sorted-candidate cache each have
-    a kill switch; with either (or both) off, every scan must produce
-    the identical observation stream — same peers, same RSSI draws, same
-    ordering.
+    The static-position memo can be cleared (every coordinate then comes
+    from a live ``position(t)``) and must leave the observation stream
+    unchanged; the ``(cell, k)`` vector-block dict must actually serve
+    repeat scans.
     """
 
     @staticmethod
     def _no_memo(medium):
         medium._static_pos.clear()
 
-    @staticmethod
-    def _no_sorted_cache(medium):
-        medium._sorted_cache.enabled = False
-
     def test_static_position_memo_is_pure_acceleration(self):
         for seed in SEEDS:
-            fast, fast_events = _run_discovery_rounds(seed, brute_force=False)
-            slow, slow_events = _run_discovery_rounds(
-                seed, brute_force=False, tweak=self._no_memo
-            )
+            fast, fast_events = _run_discovery_rounds(seed)
+            slow, slow_events = _run_discovery_rounds(seed, tweak=self._no_memo)
             assert fast == slow, f"memoised scan diverged for seed {seed}"
             assert fast_events == slow_events
             assert fast, f"seed {seed} produced no observations (vacuous)"
-
-    def test_sorted_candidate_cache_is_pure_acceleration(self):
-        for seed in SEEDS:
-            fast, fast_events = _run_discovery_rounds(seed, brute_force=False)
-            slow, slow_events = _run_discovery_rounds(
-                seed, brute_force=False, tweak=self._no_sorted_cache
-            )
-            assert fast == slow, f"cached re-sort diverged for seed {seed}"
-            assert fast_events == slow_events
 
     def test_fast_paths_actually_fire_in_static_crowds(self):
         result = run_crowd_scenario(
             n_devices=30, duration_s=120.0, seed=0, mobile_fraction=0.0
         )
-        assert result.metrics.perf["static_position_hits"] > 0
+        perf = result.metrics.perf
+        medium = result.context.medium
+        assert len(medium._static_pos) == 30
+        assert 0 < perf["vector_block_builds"] < perf["scans"]
 
     def test_repeat_scans_hit_the_sorted_cache(self):
         sim = Simulator(seed=0)
@@ -159,9 +154,10 @@ class TestScanFastPathIdentity:
         for start in (0.0, 10.0, 20.0):
             sim.schedule_at(start, medium.discover, "s0", lambda peers: None)
         sim.run_until(30.0)
-        # First scan populates the cache; the static crowd never
-        # invalidates it, so the two repeats must be served from it.
-        assert medium.perf.sorted_cache_hits == 2
+        # The first scan builds the sorted candidate block; the static
+        # crowd never moves the stamp, so the two repeats reuse it.
+        assert medium.perf.scans == 3
+        assert medium.perf.vector_block_builds == 1
 
     def test_memo_stays_off_for_mobile_endpoints(self):
         sim = Simulator(seed=0)
@@ -185,45 +181,17 @@ class TestScanFastPathIdentity:
 
 
 class TestVectorizedScanIdentity:
-    """The numpy block-scan path is an acceleration, never behaviour.
+    """The numpy block scan matches the oracle on a mixed crowd: 120
+    devices, a fifth of them moving, so coordinate blocks carry both
+    baked-in static positions and per-scan refreshed movers."""
 
-    ``medium.vectorized = False`` is the kill switch: with it off, every
-    scan takes the scalar per-peer loop. Both paths must produce
-    byte-identical run metrics — same survivors, same RSSI draws in the
-    same registration order.
-    """
-
-    @staticmethod
-    def _no_vector(context, devices):
-        context.medium.vectorized = False
-
-    def test_vectorized_scan_is_pure_acceleration(self):
-        for seed in SEEDS:
-            kwargs = dict(
-                n_devices=120, relay_fraction=0.2, duration_s=240.0,
-                hotspots=4, mobile_fraction=0.2, seed=seed,
-            )
-            fast = run_crowd_scenario(**kwargs)
-            slow = run_crowd_scenario(pre_run=self._no_vector, **kwargs)
-            assert (
-                fast.metrics.to_comparable_dict()
-                == slow.metrics.to_comparable_dict()
-            ), f"vectorized scan diverged for seed {seed}"
-            # sanity: the two runs really took different code routes
-            assert fast.metrics.perf["vectorized_scans"] > 0
-            assert slow.metrics.perf["vectorized_scans"] == 0
-
-    def test_vectorized_matches_brute_force(self):
-        kwargs = dict(
+    def test_vectorized_matches_brute_force(self, brute_force):
+        indexed, __ = _assert_crowd_matches_oracle(
+            brute_force,
             n_devices=120, relay_fraction=0.2, duration_s=240.0,
             hotspots=4, mobile_fraction=0.2, seed=0,
         )
-        vectorized = run_crowd_scenario(brute_force=False, **kwargs)
-        brute = run_crowd_scenario(brute_force=True, **kwargs)
-        assert (
-            vectorized.metrics.to_comparable_dict()
-            == brute.metrics.to_comparable_dict()
-        )
+        assert indexed.metrics.perf["vectorized_scans"] > 0
 
 
 class TestLinkSupervisionIdentity:
@@ -396,24 +364,19 @@ class TestChannelModeIdentity:
             ), f"channel replay diverged for seed {seed}"
             assert first.metrics.channel["transfers"] > 0
 
-    def test_channel_indexed_scan_matches_brute_force(self):
+    def test_channel_indexed_scan_matches_brute_force(self, brute_force):
         for seed in SEEDS:
-            kwargs = dict(
+            _assert_crowd_matches_oracle(
+                brute_force,
                 n_devices=25, duration_s=120.0, hotspots=4,
                 mobile_fraction=0.2, seed=seed, channel="sinr",
             )
-            indexed = run_crowd_scenario(brute_force=False, **kwargs)
-            brute = run_crowd_scenario(brute_force=True, **kwargs)
-            assert (
-                indexed.metrics.to_comparable_dict()
-                == brute.metrics.to_comparable_dict()
-            ), f"channel crowd metrics diverged for seed {seed}"
 
 
 class TestChannelAwareSelectionIdentity:
     """Channel-aware selection policies keep every replay contract: the
     pure `estimate_link` queries consume no RNG, so a `rate`/`hybrid` run
-    replays byte-identically, survives the indexed-vs-brute-force swap,
+    replays byte-identically, matches the brute-force oracle,
     and the distance policy stays byte-identical to a run that never
     computed an estimate at all."""
 
@@ -433,15 +396,11 @@ class TestChannelAwareSelectionIdentity:
             ), f"rate-policy replay diverged for seed {seed}"
             assert first.metrics.channel["transfers"] > 0
 
-    def test_hybrid_policy_indexed_scan_matches_brute_force(self):
+    def test_hybrid_policy_indexed_scan_matches_brute_force(self, brute_force):
         for seed in SEEDS:
-            kwargs = dict(self.KWARGS, seed=seed, selection_policy="hybrid")
-            indexed = run_crowd_scenario(brute_force=False, **kwargs)
-            brute = run_crowd_scenario(brute_force=True, **kwargs)
-            assert (
-                indexed.metrics.to_comparable_dict()
-                == brute.metrics.to_comparable_dict()
-            ), f"hybrid-policy metrics diverged for seed {seed}"
+            _assert_crowd_matches_oracle(
+                brute_force, **self.KWARGS, seed=seed, selection_policy="hybrid"
+            )
 
     def test_explicit_distance_policy_is_the_default(self):
         # selection_policy="distance" must be a pure spelling of the

@@ -111,13 +111,13 @@ class TestQueryBlock:
         block = set(index.query_block(origin, 50.0))
         assert narrow <= block
 
-    def test_repeat_query_hits_cache(self):
+    def test_repeat_query_returns_a_fresh_list(self):
         index = SpatialIndex(50.0)
         index.insert("a", (10.0, 10.0))
         first = index.query_block((12.0, 12.0), 50.0)
         second = index.query_block((12.0, 12.0), 50.0)
-        assert second is first  # served verbatim from the block cache
-        assert index.block_cache_hits == 1
+        assert second == first == ["a"]
+        assert second is not first  # the caller owns (and may extend) it
 
     def test_insert_invalidates_cache(self):
         index = SpatialIndex(50.0)
