@@ -102,7 +102,7 @@ class PagingChannel:
         """Control-channel slots used in the trailing window."""
         at = self.sim.now if now is None else now
         start = at - self.config.window_s
-        l3 = sum(1 for m in self.ledger.messages() if start <= m.time_s <= at)
+        l3 = self.ledger.count_between(start, at)
         pages = sum(1 for t in self._page_times if start <= t <= at)
         return l3 + pages
 

@@ -154,6 +154,30 @@ class SignalingLedger:
             return list(self._messages)
         return [m for m in self._messages if m.device_id == device_id]
 
+    def count_between(self, start_s: float, end_s: float) -> int:
+        """Kept messages with ``start_s <= time_s <= end_s`` (0 without
+        kept messages).
+
+        Two bisections rather than a scan: every writer records at the
+        simulator's current time, so the capture is sorted by time.
+        """
+        return max(0, self._bisect(end_s, right=True) - self._bisect(start_s))
+
+    def _bisect(self, t: float, right: bool = False) -> int:
+        """Index of the first kept message at or after ``t``, or strictly
+        after it when ``right`` (``bisect_left``/``bisect_right`` keyed
+        by ``time_s``)."""
+        messages = self._messages
+        lo, hi = 0, len(messages)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            mid_s = messages[mid].time_s
+            if mid_s < t or (right and mid_s == t):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     def rate_per_second(self, window_start_s: float, window_end_s: float) -> float:
         """Average L3 message rate over a time window (needs kept messages)."""
         if window_end_s <= window_start_s:

@@ -11,7 +11,6 @@ from repro.channel.allocator import (
     LinkRequest,
     MessagePassingAllocator,
     RBAllocator,
-    added_interference_mw,
     make_allocator,
     pair_penalty_mw,
     total_penalty_mw,
@@ -45,7 +44,6 @@ __all__ = [
     "ResourceBlockPool",
     "THERMAL_NOISE_DBM_PER_HZ",
     "TransferGrant",
-    "added_interference_mw",
     "dbm_to_mw",
     "make_allocator",
     "mw_to_dbm",

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+import math
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.channel.phy import dbm_to_mw
 from repro.channel.rb import RBLease
 from repro.d2d.link import LinkModel
-from repro.mobility.space import Position, distance_between
+from repro.mobility.space import Position
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,11 +46,47 @@ class LinkRequest:
     rx_pos: Position
 
 
+def received_mw_block(
+    link: LinkModel, origin: Position, points: Iterable[Position]
+) -> List[float]:
+    """Mean received power (mW) over the path from ``origin`` to each of
+    ``points`` — the deterministic path-loss curve, no shadowing.
+
+    The one copy of the channel's power arithmetic, batched the way
+    :meth:`LinkModel.probe_block` is: the model fields and the math
+    functions are hoisted out of the loop. Each element is the *same
+    scalar IEEE-754 sequence* as
+    ``dbm_to_mw(link.rssi(distance_between(a, b)))`` — ``sqrt(dx*dx +
+    dy*dy)``, the 0.01 m clamp, ``tx - (ref_db + slope*log10(d/ref_m))``,
+    then ``10 ** (dbm/10)`` — so interference sums, and the tie-breaks
+    that sit on them, match the per-pair composition bit for bit.
+    Distance is symmetric to the last bit (``dx*dx`` does not see the
+    sign), so ``origin`` may be either end of every path.
+    """
+    tx = link.tx_power_dbm
+    ref_db = link.path_loss_at_ref_db
+    slope = 10.0 * link.path_loss_exponent
+    ref_m = link.reference_m
+    log10 = math.log10
+    sqrt = math.sqrt
+    ox, oy = origin
+    out: List[float] = []
+    append = out.append
+    for px, py in points:
+        dx = px - ox
+        dy = py - oy
+        d = sqrt(dx * dx + dy * dy)
+        if d < 0.01:  # avoid log(0) for co-located devices
+            d = 0.01
+        dbm = tx - (ref_db + slope * log10(d / ref_m))
+        append(10.0 ** (dbm / 10.0))
+    return out
+
+
 def _received_mw(link: LinkModel, tx_pos: Position, rx_pos: Position) -> float:
     """Mean received power (mW) of a transmitter at ``tx_pos`` heard at
-    ``rx_pos`` — the deterministic path-loss curve, no shadowing."""
-    mean_rssi = link.rssi(distance_between(tx_pos, rx_pos))
-    return dbm_to_mw(mean_rssi)
+    ``rx_pos``."""
+    return received_mw_block(link, rx_pos, (tx_pos,))[0]
 
 
 def pair_penalty_mw(
@@ -87,24 +123,6 @@ def _penalty_matrix(
     return penalty
 
 
-def added_interference_mw(
-    request: LinkRequest,
-    rb: int,
-    active: Sequence[RBLease],
-    link: LinkModel,
-) -> float:
-    """Interference a newcomer on ``rb`` trades with the live leases there:
-    what it would suffer at its receiver plus what it would inflict on
-    every co-channel receiver."""
-    total = 0.0
-    for lease in active:
-        if lease.rb != rb:
-            continue
-        total += _received_mw(link, lease.tx_pos, request.rx_pos)
-        total += _received_mw(link, request.tx_pos, lease.rx_pos)
-    return total
-
-
 class RBAllocator:
     """Interface: batch assignment plus incremental single-link admission."""
 
@@ -136,15 +154,27 @@ def _greedy_pick(
     num_rbs: int,
     link: LinkModel,
 ) -> int:
-    """Least-added-interference block; ties break to the lowest index."""
-    best_rb = 0
-    best_cost = float("inf")
-    for rb in range(num_rbs):
-        cost = added_interference_mw(request, rb, active, link)
-        if cost < best_cost:
-            best_cost = cost
-            best_rb = rb
-    return best_rb
+    """Least-added-interference block; ties break to the lowest index.
+
+    A block's cost is what the newcomer would trade with the leases on
+    it: each lease's transmitter heard at the newcomer's receiver plus
+    the newcomer's transmitter heard at the lease's receiver. One pass
+    over ``active`` in grant order adds both terms into the lease's
+    block as ``(total + heard) + caused`` — the same summation order as
+    walking each block's leases on their own, so costs and tie-breaks
+    are those of the per-block walk, in O(live leases).
+    """
+    heard_mw = received_mw_block(
+        link, request.rx_pos, [lease.tx_pos for lease in active]
+    )
+    caused_mw = received_mw_block(
+        link, request.tx_pos, [lease.rx_pos for lease in active]
+    )
+    totals = [0.0] * num_rbs
+    for lease, heard, caused in zip(active, heard_mw, caused_mw):
+        rb = lease.rb
+        totals[rb] = totals[rb] + heard + caused
+    return min(range(num_rbs), key=totals.__getitem__)
 
 
 class CentralizedAllocator(RBAllocator):

@@ -26,10 +26,12 @@ from repro.channel.allocator import (
     LinkRequest,
     RBAllocator,
     make_allocator,
+    received_mw_block,
 )
 from repro.channel.phy import (
     shannon_capacity_bps,
     sinr_db,
+    sinr_db_mw,
     thermal_noise_dbm,
 )
 from repro.channel.rb import RBLease, ResourceBlockPool
@@ -160,19 +162,21 @@ class ChannelModel:
         #: *current* positions instead of the ones frozen into their
         #: leases at their last transfer. ``None`` (standalone use) keeps
         #: lease positions as-is; so does a resolver returning ``None``
-        #: for an unknown device. Deterministic as long as the resolver
-        #: is (analytic mobility models are), so replay identity holds.
+        #: for an unknown device. Only movable leases are resolved: a
+        #: ``fixed`` lease's endpoints are where it was granted.
+        #: Deterministic as long as the resolver is (analytic mobility
+        #: models are), so replay identity holds.
         self.position_resolver: Optional[
             Callable[[str, float], Optional[Position]]
         ] = None
 
     # ------------------------------------------------------------------
     def _refresh_lease_positions(self, now: float) -> None:
-        """Move every live lease's endpoints to their current positions."""
+        """Move every movable lease's endpoints to their current positions."""
         resolver = self.position_resolver
         if resolver is None:
             return
-        for lease in self.pool.live_leases():
+        for lease in self.pool.movable_leases():
             tx = resolver(lease.tx_id, now)
             if tx is not None:
                 lease.tx_pos = tx
@@ -204,12 +208,12 @@ class ChannelModel:
 
         Predicts what a transfer over ``tx_pos -> rx_pos`` would get
         *without* touching any state: no lease is admitted, no idle
-        lease reaped, no stats recorded, and live leases are read (at
-        their current positions when a resolver and ``now`` are given)
-        but never mutated. The contended figure evaluates the SINR
+        lease reaped, no stats recorded, and live leases are read (movable
+        ones at their current positions when a resolver and ``now`` are
+        given) but never mutated. The contended figure evaluates the SINR
         against the live co-channel occupancy of every block and keeps
         the best — the least-interfered block an admission could land
-        on. O(num_rbs × live leases) and RNG-free, so calling it any
+        on. O(num_rbs + live leases) and RNG-free, so calling it any
         number of times cannot perturb a replay.
         """
         cfg = self.config
@@ -219,30 +223,32 @@ class ChannelModel:
         solo_rate = shannon_capacity_bps(cfg.rb_bandwidth_hz, solo_sinr)
 
         resolver = self.position_resolver if now is not None else None
+        leases = self.pool.live_leases()
+        tx_positions = [lease.tx_pos for lease in leases]
+        if resolver is not None:
+            for i, lease in enumerate(leases):
+                if not lease.fixed:
+                    resolved = resolver(lease.tx_id, now)
+                    if resolved is not None:
+                        tx_positions[i] = resolved
         per_rb_interferers: Dict[int, List[float]] = {}
-        for lease in self.pool.live_leases():
-            other_tx = lease.tx_pos
-            if resolver is not None:
-                assert now is not None
-                resolved = resolver(lease.tx_id, now)
-                if resolved is not None:
-                    other_tx = resolved
-            per_rb_interferers.setdefault(lease.rb, []).append(
-                self.link.rssi(distance_between(other_tx, rx_pos))
-            )
+        for lease, interferer_mw in zip(
+            leases, received_mw_block(self.link, rx_pos, tx_positions)
+        ):
+            per_rb_interferers.setdefault(lease.rb, []).append(interferer_mw)
 
         best_sinr = solo_sinr
         best_interferers = 0
         for rb in range(cfg.num_rbs):
-            interferer_dbms = per_rb_interferers.get(rb, [])
-            if not interferer_dbms:
+            interferer_mws = per_rb_interferers.get(rb, [])
+            if not interferer_mws:
                 best_sinr = solo_sinr
                 best_interferers = 0
                 break
-            sinr = sinr_db(signal_dbm, interferer_dbms, self._noise_dbm)
+            sinr = sinr_db_mw(signal_dbm, interferer_mws, self._noise_dbm)
             if rb == 0 or sinr > best_sinr:
                 best_sinr = sinr
-                best_interferers = len(interferer_dbms)
+                best_interferers = len(interferer_mws)
 
         rate = max(
             shannon_capacity_bps(cfg.rb_bandwidth_hz, best_sinr),
@@ -269,8 +275,13 @@ class ChannelModel:
         rx_pos: Position,
         payload_bytes: int,
         now: float,
+        fixed: bool = False,
     ) -> TransferGrant:
-        """Grant airtime for one transfer on the directed link's lease."""
+        """Grant airtime for one transfer on the directed link's lease.
+
+        ``fixed`` says both endpoints are static; a lease admitted for
+        this transfer records it, and position refreshes skip it.
+        """
         cfg = self.config
         self.pool.reap_idle(now, cfg.lease_idle_timeout_s)
         # Interferer SINR must see where co-channel transmitters are *now*,
@@ -293,6 +304,7 @@ class ChannelModel:
                 rx_pos=rx_pos,
                 created_s=now,
                 busy_until_s=now,
+                fixed=fixed,
             )
             self.pool.grant(lease, now)
         else:
@@ -300,12 +312,11 @@ class ChannelModel:
             lease.rx_pos = rx_pos
 
         interferers = self.pool.co_channel(lease.rb, exclude_id=lease_id)
-        interferer_dbms = [
-            self.link.rssi(distance_between(other.tx_pos, rx_pos))
-            for other in interferers
-        ]
+        interferer_mws = received_mw_block(
+            self.link, rx_pos, [other.tx_pos for other in interferers]
+        )
         signal_dbm = self.link.rssi(distance_between(tx_pos, rx_pos))
-        sinr = sinr_db(signal_dbm, interferer_dbms, self._noise_dbm)
+        sinr = sinr_db_mw(signal_dbm, interferer_mws, self._noise_dbm)
         shannon = shannon_capacity_bps(cfg.rb_bandwidth_hz, sinr)
         floored = shannon < cfg.min_rate_bps
         rate = cfg.min_rate_bps if floored else shannon

@@ -56,9 +56,18 @@ def sinr_db(
     receiver. Summation happens in linear milliwatts (powers add; dB
     values do not), exactly like gym-d2d's ``_calculate_sinrs``.
     """
+    return sinr_db_mw(signal_dbm, map(dbm_to_mw, interferer_dbms), noise_dbm)
+
+
+def sinr_db_mw(
+    signal_dbm: float,
+    interferer_mws: Iterable[float],
+    noise_dbm: float,
+) -> float:
+    """:func:`sinr_db` with the interferer powers already in linear mW."""
     denominator_mw = dbm_to_mw(noise_dbm)
-    for interferer_dbm in interferer_dbms:
-        denominator_mw += dbm_to_mw(interferer_dbm)
+    for interferer_mw in interferer_mws:
+        denominator_mw += interferer_mw
     return signal_dbm - mw_to_dbm(denominator_mw)
 
 

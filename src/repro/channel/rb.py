@@ -28,10 +28,12 @@ from repro.mobility.space import Position
 class RBLease:
     """One directed link's hold on a resource block.
 
-    Positions are refreshed on every transfer the lease carries, so
-    interference estimates against this lease use the transmitter's
-    last-known location (exact for static endpoints, slightly stale for
-    movers — conservative either way, never unsafe).
+    Positions are set on every transfer the lease carries. With a
+    position resolver installed (the medium installs one), the channel
+    also moves a movable lease's endpoints to their current positions
+    before every SINR evaluation, so interference against it is exact.
+    A ``fixed`` lease has two static endpoints: its positions never
+    change, so the channel never re-resolves them.
     """
 
     lease_id: str
@@ -44,6 +46,8 @@ class RBLease:
     #: End of the latest airtime carried on this lease; the lease expires
     #: ``idle_timeout`` after this instant.
     busy_until_s: float
+    #: Both endpoints are static (zero speed bound), as seen at grant.
+    fixed: bool = False
 
 
 class ResourceBlockPool:
@@ -55,6 +59,8 @@ class ResourceBlockPool:
         self.num_rbs = num_rbs
         self._leases: Dict[str, RBLease] = {}
         self._by_rb: List[Dict[str, RBLease]] = [{} for _ in range(num_rbs)]
+        #: the live leases that are not ``fixed``, in grant order
+        self._movable: Dict[str, RBLease] = {}
         # busy-time integral: active-lease-seconds accumulated per block
         self._busy_s: List[float] = [0.0] * num_rbs
         self._last_event_s = 0.0
@@ -76,6 +82,10 @@ class ResourceBlockPool:
     def live_leases(self) -> List[RBLease]:
         """Snapshot of every live lease, in grant order."""
         return list(self._leases.values())
+
+    def movable_leases(self) -> List[RBLease]:
+        """Snapshot of the live leases that are not ``fixed``, in grant order."""
+        return list(self._movable.values())
 
     def co_channel(self, rb: int, exclude_id: Optional[str] = None) -> List[RBLease]:
         """Leases sharing block ``rb`` (the interferer set), in grant order."""
@@ -104,6 +114,8 @@ class ResourceBlockPool:
         self._advance(now)
         self._leases[lease.lease_id] = lease
         self._by_rb[lease.rb][lease.lease_id] = lease
+        if not lease.fixed:
+            self._movable[lease.lease_id] = lease
         self.grants += 1
         self.peak_live = max(self.peak_live, len(self._leases))
         return lease
@@ -115,6 +127,7 @@ class ResourceBlockPool:
             return None
         self._advance(now)
         self._by_rb[lease.rb].pop(lease_id, None)
+        self._movable.pop(lease_id, None)
         self.releases += 1
         return lease
 
@@ -155,8 +168,9 @@ class ResourceBlockPool:
         """Internal consistency check used by the property suite.
 
         Returns ``(ok, reason)``: every live lease sits in exactly one
-        per-block bucket, buckets only hold live leases, and occupancy
-        sums to the live count.
+        per-block bucket, buckets only hold live leases, occupancy sums to
+        the live count, and the movable set is exactly the live leases
+        that are not ``fixed``.
         """
         seen: Dict[str, int] = {}
         for rb, bucket in enumerate(self._by_rb):
@@ -168,6 +182,13 @@ class ResourceBlockPool:
                 seen[lease_id] = rb
         if set(seen) != set(self._leases):
             return False, "per-block buckets disagree with the lease table"
+        movable = {
+            lease_id
+            for lease_id, lease in self._leases.items()
+            if not lease.fixed
+        }
+        if set(self._movable) != movable:
+            return False, "movable set disagrees with the lease table"
         return True, ""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -252,6 +252,9 @@ class D2DConnection:
                 # Shannon rate the channel grants, and both sides pay
                 # energy in proportion to the actual airtime (the fixed
                 # per-message base charge is calibrated at d2d_transfer_s).
+                # A pair of static endpoints gets a fixed lease, which the
+                # channel never re-resolves.
+                static = self.medium._static_pos
                 grant = channel.begin_transfer(
                     sender.device_id,
                     receiver.device_id,
@@ -259,6 +262,8 @@ class D2DConnection:
                     receiver.position(now),
                     size_bytes,
                     now,
+                    fixed=sender.device_id in static
+                    and receiver.device_id in static,
                 )
                 transfer_latency_s = grant.duration_s
                 charge_duration_s = grant.duration_s

@@ -8,6 +8,9 @@ import pytest
 
 from repro.cellular.basestation import BaseStation
 from repro.cellular.signaling import SignalingLedger
+from repro.channel.allocator import CentralizedAllocator
+from repro.channel.model import ChannelModel
+from repro.channel.phy import dbm_to_mw
 from repro.d2d.base import D2DMedium, PeerInfo
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel
@@ -65,6 +68,72 @@ def brute_force():
     def oracle():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(D2DMedium, "_scan", brute_force_scan)
+            yield
+
+    return oracle
+
+
+def reference_received_mw(link, tx_pos, rx_pos):
+    """Mean received power (mW), composed from the public per-pair
+    functions rather than the channel's batched arithmetic."""
+    return dbm_to_mw(link.rssi(distance_between(tx_pos, rx_pos)))
+
+
+def reference_added_interference_mw(request, rb, active, link):
+    """Interference a newcomer on ``rb`` trades with the live leases there:
+    what it would suffer at its receiver plus what it would inflict on
+    every co-channel receiver."""
+    total = 0.0
+    for lease in active:
+        if lease.rb != rb:
+            continue
+        total += reference_received_mw(link, lease.tx_pos, request.rx_pos)
+        total += reference_received_mw(link, request.tx_pos, lease.rx_pos)
+    return total
+
+
+def reference_greedy_pick(request, active, num_rbs, link):
+    """The pick oracle: walk the live leases once per block and keep the
+    first block of least added interference."""
+    best_rb = 0
+    best_cost = float("inf")
+    for rb in range(num_rbs):
+        cost = reference_added_interference_mw(request, rb, active, link)
+        if cost < best_cost:
+            best_cost = cost
+            best_rb = rb
+    return best_rb
+
+
+@pytest.fixture(scope="session")
+def reference_pick():
+    """:func:`reference_greedy_pick`, for Hypothesis tests (which cannot
+    take function-scoped fixtures)."""
+    return reference_greedy_pick
+
+
+@pytest.fixture
+def reference_channel():
+    """Context manager: inside it, the channel runs its reference form.
+
+    ``with reference_channel(): run()`` replays a run with
+    :func:`reference_greedy_pick` as the centralized allocator's pick and
+    every lease movable, so every live lease is re-resolved on every
+    transfer.
+    """
+    original_begin = ChannelModel.begin_transfer
+
+    def pick(self, request, active, num_rbs, link):
+        return reference_greedy_pick(request, active, num_rbs, link)
+
+    def begin_transfer(self, *args, fixed=False, **kwargs):
+        return original_begin(self, *args, **kwargs)
+
+    @contextlib.contextmanager
+    def oracle():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CentralizedAllocator, "pick", pick)
+            patch.setattr(ChannelModel, "begin_transfer", begin_transfer)
             yield
 
     return oracle

@@ -109,6 +109,23 @@ class TestLedger:
         assert ledger.total == 1
         assert ledger.messages() == []
 
+    def test_count_between_matches_a_scan(self):
+        ledger = SignalingLedger()
+        times = [0.0, 0.5, 0.5, 1.0, 2.0, 2.0, 2.0, 3.5, 5.0]
+        for t in times:
+            ledger.record(t, "a", L3MessageType.RRC_CONNECTION_REQUEST, Direction.UPLINK)
+        # bounds on, between and around messages, including start > end
+        edges = (-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 2.5, 3.5, 5.0, 6.0)
+        for start in edges:
+            for end in edges:
+                expected = sum(1 for t in times if start <= t <= end)
+                assert ledger.count_between(start, end) == expected, (start, end)
+
+    def test_count_between_without_kept_messages_is_zero(self):
+        ledger = SignalingLedger(keep_messages=False)
+        ledger.record(1.0, "a", L3MessageType.RRC_CONNECTION_REQUEST, Direction.UPLINK)
+        assert ledger.count_between(0.0, 2.0) == 0
+
     def test_by_device_mapping(self):
         ledger = SignalingLedger()
         ledger.record_sequence(0.0, "x", SETUP_SEQUENCE)

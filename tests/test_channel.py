@@ -8,6 +8,7 @@ implementation, and capacity-derived transfer durations reshape (but
 never break) delivery and energy accounting.
 """
 
+import collections
 import math
 
 import pytest
@@ -29,7 +30,11 @@ from repro.channel.phy import (
     thermal_noise_dbm,
 )
 from repro.channel.rb import RBLease, ResourceBlockPool
+from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.link import LinkModel
+from repro.d2d.wifi_direct import WIFI_DIRECT
+from repro.energy.model import EnergyModel
+from repro.mobility.models import LinearMobility, StaticMobility
 from repro.scenarios import build_network, run_crowd_scenario, run_relay_scenario
 
 
@@ -492,3 +497,77 @@ class TestLeasePositionRefresh:
             "c", "d", (10.0, 0.0), (15.0, 0.0), 100, 1.0
         )
         assert grant.interferers == 1  # resolver returning None is benign
+
+
+class TestFixedLeases:
+    """A lease between two static endpoints never moves, so the channel
+    never re-resolves it; every other lease is resolved on every
+    transfer, as before."""
+
+    @staticmethod
+    def _counting(model, positions):
+        calls = collections.Counter()
+
+        def resolver(device_id, now):
+            calls[device_id] += 1
+            return positions[device_id]
+
+        model.position_resolver = resolver
+        return calls
+
+    def test_fixed_leases_are_never_resolved(self):
+        positions = {
+            "a": (0.0, 0.0), "b": (5.0, 0.0),
+            "c": (20.0, 0.0), "d": (25.0, 0.0),
+            "e": (40.0, 0.0), "f": (45.0, 0.0),
+        }
+        model = ChannelModel(ChannelConfig(num_rbs=2))
+        calls = self._counting(model, positions)
+        model.begin_transfer("a", "b", (0.0, 0.0), (5.0, 0.0), 100, 0.0, fixed=True)
+        model.begin_transfer("c", "d", (20.0, 0.0), (25.0, 0.0), 100, 0.1)
+        transfers = 5
+        for i in range(transfers):
+            model.begin_transfer(
+                "e", "f", (40.0, 0.0), (45.0, 0.0), 100, 0.2 + 0.1 * i, fixed=True
+            )
+        assert calls["a"] == calls["b"] == 0
+        # c->d is live (and movable) from the second transfer on; e->f is
+        # fixed from its first
+        assert calls["c"] == calls["d"] == transfers
+        assert calls["e"] == calls["f"] == 0
+        assert [lease.fixed for lease in model.pool.live_leases()] == [
+            True, False, True,
+        ]
+        assert model.pool.movable_leases() == [model.pool.get("c->d")]
+
+        calls.clear()
+        model.estimate_link((60.0, 0.0), (65.0, 0.0), 100, now=1.0)
+        assert calls == {"c": 1}  # only the movable lease's transmitter
+
+    def test_standalone_leases_default_to_movable(self):
+        model = ChannelModel()
+        model.begin_transfer("a", "b", (0.0, 0.0), (5.0, 0.0), 100, 0.0)
+        assert model.pool.get("a->b").fixed is False
+
+    def test_medium_marks_only_static_pairs_fixed(self, sim):
+        medium = D2DMedium(sim, WIFI_DIRECT, channel=ChannelModel())
+        mobilities = {
+            "ue": StaticMobility((0.0, 0.0)),
+            "relay": StaticMobility((3.0, 0.0)),
+            "walker": LinearMobility((0.0, 3.0), (0.1, 0.0)),
+        }
+        for device_id, mobility in mobilities.items():
+            endpoint = D2DEndpoint(
+                device_id, mobility, energy=EnergyModel(owner=device_id)
+            )
+            endpoint.advertising = True
+            medium.register(endpoint)
+        connections = []
+        medium.connect("ue", "relay", connections.append)
+        medium.connect("walker", "relay", connections.append)
+        sim.run_until(5.0)
+        for connection in connections:
+            connection.send(connection.initiator.device_id, 100)
+        pool = medium.channel.pool
+        assert pool.get("ue->relay").fixed is True
+        assert pool.get("walker->relay").fixed is False

@@ -6,8 +6,12 @@ consumed in the same order), and the same result ordering as the O(N)
 brute-force walk. The walk lives in ``tests/conftest.py`` as the
 ``brute_force`` oracle fixture; these tests pin the contract at two
 levels: raw `D2DMedium.discover` output and full crowd-scenario
-`RunMetrics`.
+`RunMetrics`. Channel mode has an oracle of its own, the
+``reference_channel`` fixture: the per-block reference pick with every
+lease re-resolved on every transfer.
 """
+
+import dataclasses
 
 from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
@@ -17,6 +21,7 @@ from repro.mobility.space import Arena
 from repro.scenarios import run_crowd_scenario
 from repro.shard import run_crowd_scenario_sharded
 from repro.sim.engine import Simulator
+from repro.workload.apps import STANDARD_APP
 
 SEEDS = (0, 1, 2)
 
@@ -371,6 +376,28 @@ class TestChannelModeIdentity:
                 n_devices=25, duration_s=120.0, hotspots=4,
                 mobile_fraction=0.2, seed=seed, channel="sinr",
             )
+
+    def test_channel_matches_the_reference_channel(self, reference_channel):
+        # ~20 live leases over 6 blocks; movers are the first devices and
+        # relays the first 30%, so leases to static relays are fixed and
+        # leases to moving ones are not.
+        kwargs = dict(
+            n_devices=120, relay_fraction=0.3, mobile_fraction=0.2,
+            duration_s=300.0, hotspots=4, arena=Arena(100.0, 100.0),
+            app=dataclasses.replace(STANDARD_APP, heartbeat_period_s=45.0),
+            channel="sinr",
+        )
+        for seed in SEEDS:
+            fast = run_crowd_scenario(seed=seed, **kwargs)
+            with reference_channel():
+                reference = run_crowd_scenario(seed=seed, **kwargs)
+            assert (
+                fast.metrics.to_comparable_dict()
+                == reference.metrics.to_comparable_dict()
+            ), f"channel diverged from the reference for seed {seed}"
+            static = fast.context.medium._static_pos
+            assert {r in static for r in fast.relay_ids} == {True, False}
+            assert fast.context.medium.channel.pool.peak_live > 6
 
 
 class TestChannelAwareSelectionIdentity:

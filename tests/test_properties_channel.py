@@ -16,7 +16,11 @@ trustworthy as *physics* rather than arbitrary arithmetic:
 5. **allocator equivalence** — on instances small enough to enumerate,
    the distributed message-passing allocator lands on assignments with
    the same total-interference objective as the exhaustive centralized
-   one.
+   one;
+6. **one-pass pick** — the centralized allocator's one-pass greedy pick
+   chooses exactly the block the per-block reference walk in
+   ``tests/conftest.py`` chooses, and the batched power arithmetic is
+   bit-identical to the per-pair composition.
 
 The ``ci`` settings profile (selected via ``HYPOTHESIS_PROFILE=ci``)
 caps example counts so the suite stays inside a smoke-job budget;
@@ -26,18 +30,25 @@ caps example counts so the suite stays inside a smoke-job budget;
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.channel.allocator import (
     CentralizedAllocator,
     LinkRequest,
     MessagePassingAllocator,
+    received_mw_block,
     total_penalty_mw,
 )
 from repro.channel.model import ChannelConfig, ChannelModel
-from repro.channel.phy import shannon_capacity_bps, sinr_db, thermal_noise_dbm
+from repro.channel.phy import (
+    dbm_to_mw,
+    shannon_capacity_bps,
+    sinr_db,
+    thermal_noise_dbm,
+)
 from repro.channel.rb import RBLease, ResourceBlockPool
 from repro.d2d.link import LinkModel
+from repro.mobility.space import distance_between
 
 settings.register_profile("default", settings(deadline=None, derandomize=True))
 settings.register_profile(
@@ -112,6 +123,7 @@ pool_ops = st.lists(
         st.sampled_from(["grant", "release", "reap"]),
         st.integers(min_value=0, max_value=7),  # lease slot
         st.integers(min_value=0, max_value=3),  # rb
+        st.booleans(),  # fixed
     ),
     max_size=40,
 )
@@ -122,14 +134,14 @@ class TestPoolBookkeeping:
     def test_no_double_booking_under_arbitrary_op_sequences(self, ops):
         pool = ResourceBlockPool(4)
         now = 0.0
-        for op, slot, rb in ops:
+        for op, slot, rb, fixed in ops:
             now += 0.5
             lease_id = f"lease-{slot}"
             if op == "grant":
                 lease = RBLease(
                     lease_id=lease_id, rb=rb, tx_id="t", rx_id="r",
                     tx_pos=(0.0, 0.0), rx_pos=(1.0, 0.0),
-                    created_s=now, busy_until_s=now + 1.0,
+                    created_s=now, busy_until_s=now + 1.0, fixed=fixed,
                 )
                 if lease_id in pool:
                     with pytest.raises(ValueError):
@@ -143,6 +155,9 @@ class TestPoolBookkeeping:
             ok, reason = pool.audit()
             assert ok, reason
             assert sum(pool.occupancy()) == len(pool)
+            assert pool.movable_leases() == [
+                lease for lease in pool.live_leases() if not lease.fixed
+            ]
         assert pool.grants - pool.releases == len(pool)
 
 
@@ -170,6 +185,78 @@ class TestAllocatorEquivalence:
         assert distributed_cost == pytest.approx(
             exact_cost, rel=1e-9, abs=1e-15
         )
+
+
+# Coordinates on a coarse grid plus a point 5 mm off the origin, so
+# co-located endpoints (and paths under the 0.01 m clamp) come up often.
+near_coords = st.sampled_from([0.0, 0.005, 1.0, 2.5, 40.0])
+clamp_positions = st.one_of(positions, st.tuples(near_coords, near_coords))
+lease_geometries = st.lists(
+    st.tuples(clamp_positions, clamp_positions, st.integers(0, 5)),
+    max_size=12,
+)
+
+
+def _leases(geometries, num_rbs):
+    return [
+        RBLease(
+            lease_id=f"l{i}", rb=rb % num_rbs, tx_id=f"t{i}", rx_id=f"r{i}",
+            tx_pos=tx, rx_pos=rx, created_s=0.0, busy_until_s=0.0,
+        )
+        for i, (tx, rx, rb) in enumerate(geometries)
+    ]
+
+
+class TestGreedyPickOracle:
+    """The one-pass pick sums each block's costs lease by lease in grant
+    order, as ``(total + heard) + caused`` — the order of the
+    per-block reference walk — so it must pick the very same block,
+    tie-breaks included."""
+
+    @given(
+        st.tuples(clamp_positions, clamp_positions),
+        lease_geometries,
+        st.integers(min_value=1, max_value=6),
+    )
+    @example(((0.0, 0.0), (5.0, 0.0)), [], 6)  # no live lease
+    @example(  # every path co-located: all under the clamp
+        ((0.0, 0.0), (0.0, 0.0)), [((0.0, 0.0), (0.005, 0.0), 1)], 3
+    )
+    @example(  # the same lease geometry on every block: a 4-way tie
+        ((0.0, 0.0), (5.0, 0.0)),
+        [((20.0, 0.0), (25.0, 0.0), rb) for rb in range(4)],
+        4,
+    )
+    def test_one_pass_pick_equals_the_reference(
+        self, reference_pick, request_geometry, geometries, num_rbs
+    ):
+        request = LinkRequest("new", *request_geometry)
+        active = _leases(geometries, num_rbs)
+        picked = CentralizedAllocator().pick(request, active, num_rbs, LINK)
+        assert picked == reference_pick(request, active, num_rbs, LINK)
+
+    @given(st.integers(min_value=1, max_value=6), lease_geometries)
+    def test_equal_costs_tie_to_block_zero(self, num_rbs, geometries):
+        # Replicate one block's leases onto every block: all costs equal.
+        request = LinkRequest("new", (0.0, 0.0), (5.0, 0.0))
+        active = [
+            RBLease(
+                lease_id=f"l{i}-{rb}", rb=rb, tx_id="t", rx_id="r",
+                tx_pos=tx, rx_pos=rx, created_s=0.0, busy_until_s=0.0,
+            )
+            for i, (tx, rx, _) in enumerate(geometries)
+            for rb in range(num_rbs)
+        ]
+        assert CentralizedAllocator().pick(request, active, num_rbs, LINK) == 0
+
+    @given(clamp_positions, st.lists(clamp_positions, max_size=8))
+    def test_power_block_is_the_per_pair_composition(self, origin, points):
+        batched = received_mw_block(LINK, origin, points)
+        for point, power in zip(points, batched):
+            # both path directions, bit for bit
+            assert power == dbm_to_mw(LINK.rssi(distance_between(point, origin)))
+            assert power == dbm_to_mw(LINK.rssi(distance_between(origin, point)))
+        assert len(batched) == len(points)
 
 
 class TestEstimateBound:

@@ -22,7 +22,7 @@ from repro.cellular.basestation import BaseStation, RanState
 from repro.cellular.modem import CellularModem
 from repro.faults.chaos import ChaosEngine, ChaosEvent
 from repro.faults.harness import run_ran_differential
-from repro.scenarios import run_relay_scenario
+from repro.scenarios import run_crowd_scenario, run_relay_scenario
 from repro.sim.engine import Simulator
 
 
@@ -180,6 +180,27 @@ class TestRanReplayDeterminism:
                 == second.metrics.to_comparable_dict())
         assert (first.metrics.faults.to_dict()
                 == second.metrics.faults.to_dict())
+
+
+class TestLedgerTimeOrder:
+    def test_audited_paging_storm_records_in_time_order(self):
+        # Paging occupancy bisects the ledger by time, which is only
+        # sound while every message is recorded at a non-decreasing time.
+        result = run_crowd_scenario(
+            n_devices=150, duration_s=900.0, chaos="paging-storm",
+            chaos_seed=2, audit=True, seed=0,
+        )
+        assert result.metrics.faults.to_dict()["audit_violations"] == 0
+        ledger, paging = result.context.ledger, result.context.paging
+        times = [m.time_s for m in ledger.messages()]
+        assert times and times == sorted(times)
+        assert paging.attempts
+        window = paging.config.window_s
+        for attempt in paging.attempts:
+            at = attempt.requested_at_s
+            assert ledger.count_between(at - window, at) == sum(
+                1 for t in times if at - window <= t <= at
+            )
 
 
 class TestRanDifferentialGate:
