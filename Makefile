@@ -17,7 +17,7 @@ bench-tables:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-disable -q -s
 
 bench-perf:
-	PYTHONPATH=src $(PYTHON) -m repro bench --out benchmarks
+	PYTHONPATH=src $(PYTHON) -m bench
 
 examples:
 	@for script in examples/*.py; do \

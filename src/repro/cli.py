@@ -516,61 +516,6 @@ def _cmd_ran(args: argparse.Namespace) -> int:
     return 0 if passed == len(cases) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Pinned perf suite → table + BENCH_<rev>.json (+ regression gate)."""
-    import json
-
-    from repro.bench import compare_reports, run_suite, write_report
-
-    try:
-        report = run_suite(quick=args.quick, repeats=args.repeats,
-                           only=args.only)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    rows = []
-    for name, case in report["cases"].items():
-        rows.append([
-            name,
-            f"{case['wall_s']:.3f}",
-            {True: "yes", False: "DIVERGED"}.get(
-                case.get("identical_metrics"), "-"
-            ),
-        ])
-    print(format_table(
-        ["case", "wall (s)", "identical"],
-        rows,
-        title=f"perf suite (rev {report['rev']}, "
-              f"{'quick' if args.quick else 'full'})",
-    ))
-    status = 0
-    for name, case in report["cases"].items():
-        if case.get("identical_metrics") is False:
-            print(f"FAIL {name}: runs that must match diverged",
-                  file=sys.stderr)
-            status = 1
-    if not args.no_write:
-        path = write_report(report, out_dir=args.out)
-        print(f"wrote {path}")
-    if args.compare is not None:
-        try:
-            with open(args.compare, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read baseline {args.compare!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        failures = compare_reports(report, baseline, tolerance=args.tolerance)
-        for failure in failures:
-            print(f"REGRESSION {failure}", file=sys.stderr)
-        if failures:
-            status = 1
-        else:
-            print(f"no regression vs {args.compare} "
-                  f"(tolerance {args.tolerance:.0%})")
-    return status
-
-
 def _cmd_breakeven(args: argparse.Namespace) -> int:
     print("D2D-vs-cellular breakeven distance (UE side):")
     for beats in (1, 2, 3, 5, 7, 10):
@@ -895,30 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     ran.add_argument("--report", default=None, metavar="PATH",
                      help="write the case list as JSON (CI artifact)")
     ran.set_defaults(func=_cmd_ran)
-
-    bench = sub.add_parser(
-        "bench", help="pinned perf suite; writes BENCH_<rev>.json"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller cases, skip the 500-device storm")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="timed repeats per case, keeping the minimum "
-                            "(default: 3, or 2 with --quick)")
-    bench.add_argument("--only", default=None, metavar="CASES",
-                       help="run selected case(s) by name, comma-separated "
-                            "(e.g. crowd-5000-sharded,crowd-20000-balanced), "
-                            "even ones --quick drops")
-    bench.add_argument("--out", default="benchmarks",
-                       help="directory for BENCH_<rev>.json")
-    bench.add_argument("--no-write", action="store_true",
-                       help="don't write the report file")
-    bench.add_argument("--compare", default=None, metavar="BASELINE_JSON",
-                       help="fail if the gate case's speedup regressed "
-                            "more than --tolerance vs this baseline")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed relative speedup regression "
-                            "(default 0.25)")
-    bench.set_defaults(func=_cmd_bench)
 
     breakeven = sub.add_parser("breakeven", help="D2D-vs-cellular distances")
     breakeven.set_defaults(func=_cmd_breakeven)

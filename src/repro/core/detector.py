@@ -89,7 +89,6 @@ class D2DDetector:
             return None
         if self.sim.now - self._last_scan_s > self.cache_ttl_s:
             return None
-        self.medium.perf.scan_cache_served += 1
         return list(self._last_peers)
 
     # ------------------------------------------------------------------

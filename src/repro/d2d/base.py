@@ -18,7 +18,6 @@ import dataclasses
 import math
 import operator
 import random
-import time
 import types
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
@@ -230,7 +229,6 @@ class D2DConnection:
                 on_result(False)
             return False
 
-        t_section = time.perf_counter()
         profile = self.medium.profile
         tech = self.medium.technology
         # near the coverage edge, frames are lost probabilistically (PER);
@@ -311,9 +309,6 @@ class D2DConnection:
                 on_result(True)
 
         self.medium.sim.schedule(transfer_latency_s, deliver, name="d2d_deliver")
-        self.medium.perf.add_seconds(
-            "transfer", time.perf_counter() - t_section
-        )
         return True
 
     def close(self, reason: str = "closed") -> None:
@@ -666,7 +661,6 @@ class D2DMedium:
         )
 
         def finish() -> None:
-            t_section = time.perf_counter()
             t = self.sim.now
             rng = self.sim.rng.get("d2d-discovery") if rssi_noise else None
             origin = self._static_pos.get(requester_id)
@@ -679,9 +673,6 @@ class D2DMedium:
             perf = self.perf
             perf.scans += 1
             perf.scan_peers_returned += len(found)
-            # section ends before the callback: downstream reactions
-            # (matching, connects) are not discovery work
-            perf.add_seconds("discover", time.perf_counter() - t_section)
             on_complete(found)
 
         self.sim.schedule(tech.discovery_latency_s, finish, name="d2d_discover")
@@ -811,10 +802,7 @@ class D2DMedium:
         for device_id, x, y in batch.positions_at(t):
             update(device_id, (x, y))
         self._last_refresh_s = t
-        perf = self.perf
-        perf.index_rebuild_passes += 1
-        perf.index_updates = index.updates
-        perf.index_moves = index.moves
+        self.perf.index_updates = index.updates
 
     # ------------------------------------------------------------------
     # connection establishment

@@ -17,7 +17,7 @@ scheduler offers, reward credits, server receives, power transitions):
   never silently collapsed);
 - **capacity** — a relay's collected count ``k`` never exceeds ``M``;
 - **honest incentives** — no relay credit for beats the server has not
-  received (credits ≤ relayed deliveries at all times);
+  received: per relay, settled credits ≤ deliveries relayed via it;
 - **energy sanity** — batteries never go negative.
 
 When the *cellular side* is itself a fault domain (base-station outages,
@@ -190,7 +190,6 @@ class InvariantAuditor:
         self._downtime: Dict[str, List[List[Optional[float]]]] = {}
         self._server_attached = False
         self._rewards_attached = False
-        self._rewards = None
         #: reattach-liveness bound (seconds after cell restore); 0 means the
         #: active chaos profile declared no bound, so the check is skipped
         self.reattach_bound_s: float = 0.0
@@ -202,6 +201,9 @@ class InvariantAuditor:
         self._fallback_senders: List[object] = []
         #: beat seq → recorded drop cause (first drop wins)
         self._drop_causes: Dict[int, str] = {}
+        #: per-relay incentive books: beats credited, relayed deliveries
+        self._credited: Dict[str, int] = {}
+        self._relayed_via: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # recording primitives
@@ -446,6 +448,10 @@ class InvariantAuditor:
         def audited_receive(message, via_device, time_s=None):
             record_out = original_receive(message, via_device, time_s)
             self.report.deliveries_observed += 1
+            if record_out.relayed:
+                self._relayed_via[via_device] = (
+                    self._relayed_via.get(via_device, 0) + 1
+                )
             record = self._beats.get(message.seq)
             if record is not None:
                 if record_out.on_time:
@@ -480,16 +486,19 @@ class InvariantAuditor:
         if self._rewards_attached:
             return
         self._rewards_attached = True
-        self._rewards = rewards
         original_credit = rewards.credit_collection
 
         def audited_credit(time_s, relay_id, beats):
             account = original_credit(time_s, relay_id, beats)
+            credited = self._credited.get(relay_id, 0) + beats
+            self._credited[relay_id] = credited
             # The relay is credited when the uplink clears the air
             # interface; the server sink runs one core latency later.
-            # Check the books once that transport slack has passed.
+            # Check this relay's books once that transport slack has
+            # passed, against its credits up to now: a later credit (to
+            # it or any other relay) may still be in flight at the check.
             self.sim.schedule(
-                CREDIT_SETTLE_S, self._check_credits, relay_id,
+                CREDIT_SETTLE_S, self._check_credits, relay_id, credited,
                 name="audit_credit_check",
             )
             self._note("credit", relay_id, f"beats={beats}")
@@ -497,15 +506,18 @@ class InvariantAuditor:
 
         rewards.credit_collection = audited_credit  # type: ignore[method-assign]
 
-    def _check_credits(self, relay_id: str) -> None:
-        if self.server is None or self._rewards is None:
+    def _check_credits(
+        self, relay_id: str, credited: int, suffix: str = ""
+    ) -> None:
+        if self.server is None:
             return
-        if self._rewards.total_beats > self.server.relayed_count:
+        relayed = self._relayed_via.get(relay_id, 0)
+        if credited > relayed:
             self._violate(
                 "phantom-credit",
                 relay_id,
-                f"credited beats {self._rewards.total_beats} > relayed "
-                f"deliveries {self.server.relayed_count}",
+                f"credited beats {credited} > relayed deliveries "
+                f"{relayed}{suffix}",
             )
 
     # ------------------------------------------------------------------
@@ -594,15 +606,9 @@ class InvariantAuditor:
         self.report.finalized = True
         self.report.horizon_s = horizon_s
         # end-of-run book check: deferred per-credit checks scheduled past
-        # the horizon never ran, so settle the incentive ledger here too
-        if self._rewards is not None and self.server is not None:
-            if self._rewards.total_beats > self.server.relayed_count:
-                self._violate(
-                    "phantom-credit",
-                    "ledger",
-                    f"credited beats {self._rewards.total_beats} > relayed "
-                    f"deliveries {self.server.relayed_count} at end of run",
-                )
+        # the horizon never ran, so settle every relay's books here too
+        for relay_id, credited in sorted(self._credited.items()):
+            self._check_credits(relay_id, credited, " at end of run")
         self._check_sender_bounds(horizon_s)
         held_seqs = set()
         for sender in self._fallback_senders:

@@ -14,12 +14,10 @@ from __future__ import annotations
 import dataclasses
 import os
 import socket
-import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.cellular.signaling import SignalingLedger
 from repro.device import Role, Smartphone
-from repro.perf import PerfCounters
 from repro.workload.server import IMServer
 
 
@@ -431,20 +429,15 @@ def collect_metrics(
     server: Optional[IMServer] = None,
     horizon_s: float = 0.0,
     faults: Optional[FaultMetrics] = None,
-    perf: Optional[Union[Dict[str, float], PerfCounters]] = None,
+    perf: Optional[Dict[str, float]] = None,
     channel: Optional[Dict[str, Any]] = None,
 ) -> RunMetrics:
     """Snapshot the run's metrics from the live objects.
 
-    ``perf`` accepts either an already-flattened counter dict or the live
-    :class:`~repro.perf.PerfCounters`; passing the live object lets this
-    function book the per-device energy aggregation walk under the
-    ``energy`` wall-time section before snapshotting, so the phase
-    attribution (discover / transfer / energy / shard-sync) in bench
-    reports includes metric-collection cost.
+    ``perf`` is the flat counter dict of
+    :meth:`repro.perf.PerfCounters.to_dict`, carried through as
+    observability (excluded from comparable metrics).
     """
-    counters = perf if isinstance(perf, PerfCounters) else None
-    t_section = time.perf_counter()
     per_device: Dict[str, DeviceMetrics] = {}
     for device in devices:
         per_device[device.device_id] = DeviceMetrics(
@@ -459,9 +452,6 @@ def collect_metrics(
             uplink_sends=device.modem.sends,
             battery_level=device.battery.level if device.battery else None,
         )
-    if counters is not None:
-        counters.add_seconds("energy", time.perf_counter() - t_section)
-        perf = counters.to_dict()
     delivery = None
     if server is not None:
         delivery = DeliveryMetrics(

@@ -47,9 +47,7 @@ class SpatialIndex:
         "_cells",
         "_where",
         "_version",
-        "queries",
         "updates",
-        "moves",
     )
 
     def __init__(self, cell_size_m: float) -> None:
@@ -62,10 +60,8 @@ class SpatialIndex:
         #: bumped on every membership/bin change; owners stamp caches of
         #: query results with it
         self._version = 0
-        # observability counters (read by repro.perf consumers)
-        self.queries = 0
+        #: position updates applied (read into ``PerfCounters.index_updates``)
         self.updates = 0
-        self.moves = 0
 
     # ------------------------------------------------------------------
     def _cell_of(self, pos: Position) -> Cell:
@@ -113,7 +109,6 @@ class SpatialIndex:
                 bucket.pop(device_id, None)
                 if not bucket:
                     del self._cells[old_cell]
-            self.moves += 1
         self._cells.setdefault(new_cell, {})[device_id] = None
         self._where[device_id] = new_cell
         self._version += 1
@@ -131,7 +126,6 @@ class SpatialIndex:
         list (not a generator) on purpose: this sits on the scan hot path
         and generator frame switches cost more than the list build.
         """
-        self.queries += 1
         reach = radius_m + slack_m
         found: List[str] = []
         if reach < 0:
@@ -162,7 +156,6 @@ class SpatialIndex:
         (:class:`~repro.d2d.base.D2DMedium` caches it, stamped with
         ``_version``). Returns a fresh list the caller owns.
         """
-        self.queries += 1
         reach = radius_m + slack_m
         if reach < 0:
             return []

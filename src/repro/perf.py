@@ -1,15 +1,15 @@
-"""Lightweight performance counters and timers.
+"""Lightweight performance counters.
 
-The scaling work (spatial-index discovery, adjacency maps, the event-kernel
-fast path) is only trustworthy if it is *observable*: this module is the
-one place hot paths book what they did — candidates examined per scan,
-index rebins, events fired per wall second — so `repro-sim bench` and
+The scaling work (spatial-index discovery, the event-kernel fast path) is
+only trustworthy if it is *observable*: this module is the one place hot
+paths book what they did — scans, candidates examined per scan, index
+queries and updates — so the repo benchmark (``python -m bench``) and
 `RunMetrics` can report a perf trajectory instead of anecdotes.
 
 Counters are plain integer attributes bumped inline (no locks, no dict
-lookups on the hot path); timers accumulate wall-clock seconds under a
-name. Everything folds into a flat ``{name: number}`` dict via
-:meth:`PerfCounters.to_dict`.
+lookups on the hot path); named wall-second sections accumulate under
+:meth:`PerfCounters.add_seconds`. Everything folds into a flat
+``{name: number}`` dict via :meth:`PerfCounters.to_dict`.
 
 These numbers are **observability, not results**: two runs that produce
 identical simulation output (the determinism guard's contract) may book
@@ -19,23 +19,18 @@ brute-force oracle books no index queries at all.
 
 from __future__ import annotations
 
-import contextlib
-import time
-from typing import Dict, Iterator
+from typing import Dict
 
 
 class PerfCounters:
-    """Counter/timer sink shared by one simulation's hot paths."""
+    """Counter sink shared by one simulation's hot paths."""
 
     __slots__ = (
         "scans",
         "scan_candidates_examined",
         "scan_peers_returned",
-        "scan_cache_served",
         "index_queries",
         "index_updates",
-        "index_moves",
-        "index_rebuild_passes",
         "vectorized_scans",
         "vector_block_builds",
         "_timers",
@@ -48,17 +43,10 @@ class PerfCounters:
         self.scan_candidates_examined = 0
         #: peers actually returned to scan callbacks
         self.scan_peers_returned = 0
-        #: discovery requests served from a detector's still-fresh cache
-        #: (no radio work at all — the cheapest scan is the one not made)
-        self.scan_cache_served = 0
         #: spatial-index range queries issued
         self.index_queries = 0
         #: incremental position updates applied to the index
         self.index_updates = 0
-        #: updates that actually crossed a cell boundary
-        self.index_moves = 0
-        #: lazy refresh passes over the mobile-endpoint set
-        self.index_rebuild_passes = 0
         #: scans whose distance math ran on the numpy block path (every
         #: scan; kept while bench reports read it)
         self.vectorized_scans = 0
@@ -66,38 +54,14 @@ class PerfCounters:
         self.vector_block_builds = 0
         self._timers: Dict[str, float] = {}
 
-    # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Accumulate the wall-clock duration of the block under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._timers[name] = self._timers.get(name, 0.0) + elapsed
-
     def add_seconds(self, name: str, seconds: float) -> None:
         """Accumulate already-measured wall seconds under ``name``.
 
-        The hot-path spelling of :meth:`timer`: callers bracket the section
-        with two ``time.perf_counter()`` reads and book the difference, so
-        per-call instrumentation costs two C calls instead of a generator
-        context manager. Used for the phase attribution sections (discover /
-        transfer / energy / shard-sync) that `repro-sim bench` surfaces.
+        The sharded kernel books its per-window ghost/handover/report
+        bookkeeping here as ``shard-sync``; it surfaces as
+        ``timer_shard-sync_s`` in :meth:`to_dict`.
         """
         self._timers[name] = self._timers.get(name, 0.0) + seconds
-
-    def timer_seconds(self, name: str) -> float:
-        return self._timers.get(name, 0.0)
-
-    # ------------------------------------------------------------------
-    @property
-    def mean_candidates_per_scan(self) -> float:
-        """Average endpoints examined per scan."""
-        return (
-            self.scan_candidates_examined / self.scans if self.scans else 0.0
-        )
 
     def to_dict(self) -> Dict[str, float]:
         """Flat snapshot for `RunMetrics`/JSON export."""
@@ -105,14 +69,10 @@ class PerfCounters:
             "scans": self.scans,
             "scan_candidates_examined": self.scan_candidates_examined,
             "scan_peers_returned": self.scan_peers_returned,
-            "scan_cache_served": self.scan_cache_served,
             "index_queries": self.index_queries,
             "index_updates": self.index_updates,
-            "index_moves": self.index_moves,
-            "index_rebuild_passes": self.index_rebuild_passes,
             "vectorized_scans": self.vectorized_scans,
             "vector_block_builds": self.vector_block_builds,
-            "mean_candidates_per_scan": self.mean_candidates_per_scan,
         }
         for name, seconds in sorted(self._timers.items()):
             data[f"timer_{name}_s"] = seconds
@@ -121,6 +81,5 @@ class PerfCounters:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PerfCounters(scans={self.scans}, "
-            f"examined={self.scan_candidates_examined}, "
-            f"mean/scan={self.mean_candidates_per_scan:.1f})"
+            f"examined={self.scan_candidates_examined})"
         )

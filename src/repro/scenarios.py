@@ -507,7 +507,7 @@ def run_relay_scenario(
     metrics = collect_metrics(
         devices.values(), context.ledger, context.server, horizon_s=horizon,
         faults=faults,
-        perf=context.medium.perf if context.medium else None,
+        perf=context.medium.perf.to_dict() if context.medium else None,
         channel=_channel_snapshot(context, horizon),
     )
     return ScenarioResult(
@@ -985,7 +985,7 @@ def run_crowd_scenario(
     metrics = collect_metrics(
         devices.values(), context.ledger, context.server, horizon_s=horizon,
         faults=faults,
-        perf=context.medium.perf if context.medium else None,
+        perf=context.medium.perf.to_dict() if context.medium else None,
         channel=_channel_snapshot(context, horizon),
     )
     periods = max(1, int(duration_s / app.heartbeat_period_s))

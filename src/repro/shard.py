@@ -628,7 +628,7 @@ class _ShardState:
             self.network.combined_ledger,
             self.server,
             horizon_s=horizon,
-            perf=self.medium.perf,
+            perf=self.medium.perf.to_dict(),
         )
         stats = {
             "handovers": self.handovers,
@@ -756,13 +756,7 @@ def _route_reports(
 def _merge_perf(
     perfs: List[Optional[Dict[str, float]]]
 ) -> Optional[Dict[str, float]]:
-    """Numeric sum of per-shard perf counters.
-
-    Ratio-style entries (``mean_*``) are summed like everything else, so
-    merged values are only meaningful for the count-style counters —
-    acceptable because ``perf`` is observability-only and excluded from
-    comparable metrics.
-    """
+    """Numeric sum of per-shard perf counters."""
     merged: Dict[str, float] = {}
     for perf in perfs:
         if not perf:

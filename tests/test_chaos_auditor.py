@@ -10,6 +10,7 @@ Also carries the pre-fix regression for the mid-drain link-death crash in
 ``UEAgent._forward`` that the chaos engine's link gate uncovered.
 """
 
+import dataclasses
 import types
 
 import pytest
@@ -23,7 +24,8 @@ from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.device import Role, Smartphone
 from repro.faults.auditor import InvariantAuditor
 from repro.mobility.models import StaticMobility
-from repro.scenarios import run_relay_scenario
+from repro.mobility.space import Arena
+from repro.scenarios import run_crowd_scenario, run_relay_scenario
 from repro.sim.engine import Simulator
 from repro.workload.apps import STANDARD_APP
 from repro.workload.messages import PeriodicMessage
@@ -121,6 +123,51 @@ class TestRiggedViolations:
         # server sink runs a core latency later — no false positive.
         result = run_relay_scenario(n_ues=2, periods=3, seed=0, audit=True)
         assert not result.audit_report.violations_of("phantom-credit")
+
+    def test_credit_in_flight_at_another_relays_check_is_not_phantom(self):
+        # Regression: each relay's deferred check used to compare the
+        # global credit total with the global relayed count, so another
+        # relay's aggregate credited < CREDIT_SETTLE_S earlier and still
+        # in the core network counted as phantom (two false positives in
+        # this crowd, at 84.98 s and 89.56 s).
+        result = run_crowd_scenario(
+            n_devices=500, relay_fraction=0.2, duration_s=300.0,
+            arena=Arena(250.0, 250.0), hotspots=12, seed=0,
+            app=dataclasses.replace(STANDARD_APP, heartbeat_period_s=45.0),
+            channel="sinr", selection_policy="rate", audit=True,
+        )
+        report = result.audit_report
+        assert result.metrics.delivery.relayed > 0
+        assert not report.violations_of("phantom-credit"), report.summary()
+
+    def test_over_credited_relay_flagged_despite_surplus_elsewhere(self):
+        # relay-0 relays four beats but is credited for two; a second
+        # relay is credited two beats it never delivered. The global
+        # totals balance (4 == 4), the second relay's books do not.
+        sim, medium, server, framework, devices = build_rig()
+        auditor = InvariantAuditor(sim, server=server,
+                                   rewards=framework.rewards)
+        auditor.attach_framework(framework, devices)
+        for _ in range(4):
+            server.receive(make_beat(), "relay-0")
+        framework.rewards.credit_collection(0.0, "relay-0", beats=2)
+        framework.rewards.credit_collection(0.0, "relay-1", beats=2)
+        sim.run_until(5.0)
+        flagged = auditor.report.violations_of("phantom-credit")
+        assert [v.subject for v in flagged] == ["relay-1"]
+
+    def test_over_credit_flagged_at_end_of_run(self):
+        # a credit whose deferred check would land past the horizon is
+        # still settled by finalize
+        sim, medium, server, framework, devices = build_rig()
+        auditor = InvariantAuditor(sim, server=server,
+                                   rewards=framework.rewards)
+        auditor.attach_framework(framework, devices)
+        framework.rewards.credit_collection(0.0, "relay-0", beats=1)
+        report = auditor.finalize(0.0)
+        assert [v.subject for v in report.violations_of("phantom-credit")] == [
+            "relay-0"
+        ]
 
     def test_capacity_breach_detected(self):
         # sabotage: an admission path that ignores the capacity bound

@@ -203,16 +203,35 @@ class TestUnsupportedCombinations:
             assert blocker in message
 
 
+@pytest.fixture(scope="module")
+def small_sharded_run():
+    return run_crowd_scenario_sharded(
+        n_devices=20, relay_fraction=0.25, duration_s=60.0,
+        arena=Arena(200.0, 80.0), hotspots=4, seed=1, shards=2,
+    )
+
+
 class TestSmallShardedRun:
-    def test_merged_metrics_cover_every_device(self):
-        result = run_crowd_scenario_sharded(
-            n_devices=20, relay_fraction=0.25, duration_s=60.0,
-            arena=Arena(200.0, 80.0), hotspots=4, seed=1, shards=2,
-        )
+    def test_merged_metrics_cover_every_device(self, small_sharded_run):
+        result = small_sharded_run
         assert len(result.metrics.devices) == 20
         assert sum(result.devices_per_shard) == 20
         assert result.windows == 12  # 59 s horizon / 5 s windows, ceil
         assert result.metrics.total_l3_messages > 0
+
+    def test_perf_dict_carries_what_the_benchmark_reads(self, small_sharded_run):
+        # python -m bench (bench/layers.py) reads these merged counters
+        perf = small_sharded_run.metrics.perf
+        assert perf["timer_shard-sync_s"] > 0
+        for key in (
+            "scans", "scan_candidates_examined", "scan_peers_returned",
+            "vectorized_scans", "index_queries", "index_updates",
+        ):
+            assert key in perf, key
+        assert perf["scans"] > 0
+        # the per-phase sections nothing reads any more stay gone
+        for phase in ("discover", "transfer", "energy"):
+            assert f"timer_{phase}_s" not in perf, phase
 
     def test_params_round_trip(self):
         params = CrowdShardParams(n_shards=3, cells_x=6)
@@ -232,10 +251,11 @@ class TestSmallShardedRun:
 class TestHotspotCrowdBalance:
     """The tile planner's reason to exist: hotspot crowds skew bands.
 
-    Uses the crowd-20000-balanced bench geometry. The comparison is
-    planner-level (device counts per shard from the t=0 placements, the
-    planner's own cost model) — no simulation needed to show the column
-    bands concentrate hotspot load while the weighted tiles spread it.
+    Uses the 20000-device geometry of ``benchmarks/test_shard_gates.py``.
+    The comparison is planner-level (device counts per shard from the t=0
+    placements, the planner's own cost model) — no simulation needed to
+    show the column bands concentrate hotspot load while the weighted
+    tiles spread it.
     """
 
     GEOMETRY = dict(
@@ -268,6 +288,7 @@ class TestHotspotCrowdBalance:
         return max(per_shard) / mean
 
     def test_tiles_meet_the_skew_bound_where_bands_do_not(self):
-        # 1.25 is the documented max/mean bound the bench gate enforces
+        # 1.25 is the documented max/mean bound benchmarks/test_shard_gates.py
+        # enforces
         assert self._device_skew("tiles") <= 1.25
         assert self._device_skew("bands") > 1.25
