@@ -52,8 +52,9 @@ def received_mw_block(
     """Mean received power (mW) over the path from ``origin`` to each of
     ``points`` — the deterministic path-loss curve, no shadowing.
 
-    The one copy of the channel's power arithmetic, batched the way
-    :meth:`LinkModel.probe_block` is: the model fields and the math
+    The one copy of the channel's power arithmetic, batched the way the
+    discovery scan's survivor loop is (:meth:`D2DMedium._scan
+    <repro.d2d.base.D2DMedium._scan>`): the model fields and the math
     functions are hoisted out of the loop. Each element is the *same
     scalar IEEE-754 sequence* as
     ``dbm_to_mw(link.rssi(distance_between(a, b)))`` — ``sqrt(dx*dx +

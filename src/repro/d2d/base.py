@@ -19,7 +19,7 @@ import math
 import operator
 import random
 import types
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Set
 
 import numpy as _np
 
@@ -63,9 +63,11 @@ class D2DTechnology:
     link: LinkModel = dataclasses.field(default_factory=LinkModel)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class PeerInfo:
+class PeerInfo(NamedTuple):
     """What a discovery scan reveals about one nearby peer.
+
+    An immutable named tuple: scans build one per surviving peer, and a
+    tuple is about half the cost of a frozen dataclass to construct.
 
     ``advertisement`` is a **read-only view** of the peer's live service
     record, not a per-scan copy (scans used to deep-copy every record for
@@ -323,11 +325,11 @@ class _VectorBlock:
     unindexed side set, requester *not* filtered — the block is shared by
     every requester scanning from the same cell). Static endpoints have
     their coordinates baked in at build time; dynamic ones are listed in
-    ``_dynamic`` and refreshed into the arrays on every scan before the
-    numpy distance evaluation.
+    ``_dynamic`` and re-read into the arrays once per instant, before the
+    first numpy distance evaluation at that instant.
     """
 
-    __slots__ = ("ids", "xs", "ys", "_dynamic")
+    __slots__ = ("ids", "xs", "ys", "_dynamic", "_t")
 
     def __init__(self, ids, endpoints, static_pos) -> None:
         n = len(ids)
@@ -345,10 +347,17 @@ class _VectorBlock:
         self.xs = xs
         self.ys = ys
         self._dynamic = dynamic
+        #: instant the dynamic coordinates were last read at
+        self._t: Optional[float] = None
 
     def distances_from(self, origin: Position, t: float):
-        """Refresh dynamic coordinates, then the block distances to
-        ``origin`` as one numpy array.
+        """The block distances to ``origin`` at ``t`` as one numpy array.
+
+        Dynamic coordinates are refreshed only when ``t`` differs from the
+        last refresh. That is exact: mobility models are analytic (random
+        waypoint caches its legs), so two reads at one instant agree and
+        draw nothing, and a same-instant cohort of scans sharing the block
+        reads its movers once.
 
         ``sqrt(dx*dx + dy*dy)`` elementwise is the exact IEEE-754
         operation sequence :func:`repro.mobility.space.distance_between`
@@ -357,10 +366,12 @@ class _VectorBlock:
         """
         xs = self.xs
         ys = self.ys
-        for i, endpoint in self._dynamic:
-            x, y = endpoint.position(t)
-            xs[i] = x
-            ys[i] = y
+        if t != self._t:
+            for i, endpoint in self._dynamic:
+                x, y = endpoint.position(t)
+                xs[i] = x
+                ys[i] = y
+            self._t = t
         dx = xs - origin[0]
         dy = ys - origin[1]
         return _np.sqrt(dx * dx + dy * dy)
@@ -694,43 +705,60 @@ class D2DMedium:
         noise draw — is order-independent, and survivors are visited in
         registration order, exactly as a walk over every endpoint would
         visit them. The test suite keeps that walk as the oracle.
+
+        The survivor loop inlines :meth:`LinkModel.probe`,
+        :meth:`~LinkModel.shadowed` and :meth:`~LinkModel.estimate_distance`
+        with the model fields hoisted. Their arithmetic stays the *same
+        scalar IEEE-754 sequence* as :func:`~repro.d2d.link.rssi_at` and
+        :func:`~repro.d2d.link.distance_from_rssi` on purpose:
+        ``numpy.log10`` is not guaranteed correctly rounded, and the
+        sensitivity cutoff sits on the result, so a last-ulp difference
+        could flip a candidate in or out of range and desynchronize the
+        RSSI noise stream from the oracle's per-peer walk.
         """
         block = self._vector_block_for(origin, t)
         perf = self.perf
         perf.vectorized_scans += 1
         ids = block.ids
         perf.scan_candidates_examined += len(ids) - 1
-        link = self.technology.link
+        tech = self.technology
         distances = block.distances_from(origin, t)
-        keep = _np.nonzero(distances <= self.technology.max_range_m)[0]
-        # .tolist() converts to exact python floats, and probe_block keeps
-        # the per-element math bit-identical to probe — no numpy scalar
-        # ever leaks into a PeerInfo.
-        probed = link.probe_block(distances[keep].tolist())
-        shadowed = link.shadowed
-        estimate_distance = link.estimate_distance
-        link_allowed = self.link_allowed
+        keep = _np.nonzero(distances <= tech.max_range_m)[0]
+        link = tech.link
+        tx = link.tx_power_dbm
+        ref_db = link.path_loss_at_ref_db
+        slope = 10.0 * link.path_loss_exponent
+        ref_m = link.reference_m
+        floor = link.sensitivity_dbm
+        sigma = link.shadowing_sigma_db
+        gauss = rng.gauss if rng is not None and sigma > 0 else None
+        log10 = math.log10
+        gate = self._link_gate
         endpoints = self._endpoints
         found: List[PeerInfo] = []
-        for j, idx in enumerate(keep.tolist()):
+        # .tolist() converts to exact python floats, so no numpy scalar
+        # ever reaches the scalar math or a PeerInfo.
+        for idx, distance_m in zip(keep.tolist(), distances[keep].tolist()):
             device_id = ids[idx]
             if device_id == requester_id:
                 continue
             peer = endpoints[device_id]
             if not (peer.advertising and peer.powered_on):
                 continue
-            mean_rssi = probed[j]
-            if mean_rssi is None:
+            d = distance_m if distance_m > 0.01 else 0.01
+            rssi = tx - (ref_db + slope * log10(d / ref_m))
+            if rssi < floor:
                 continue
-            if not link_allowed(requester_id, device_id):
+            if gate is not None and not gate(requester_id, device_id):
                 continue
-            rssi = shadowed(mean_rssi, rng)
+            if gauss is not None:
+                rssi += gauss(0.0, sigma)
             found.append(
                 PeerInfo(
-                    device_id=device_id,
-                    rssi_dbm=rssi,
-                    estimated_distance_m=estimate_distance(rssi),
-                    advertisement=peer.advertisement_view,
+                    device_id,
+                    rssi,
+                    ref_m * 10.0 ** ((tx - rssi - ref_db) / slope),
+                    peer.advertisement_view,
                 )
             )
         return found

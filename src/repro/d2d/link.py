@@ -77,9 +77,10 @@ class LinkModel:
         once where separate ``in_range()`` + ``rssi()`` calls compute it
         twice. No noise: callers apply :meth:`shadowed` only after the
         candidate passes every filter, so the RNG draw sequence matches
-        the separate-call code exactly. The scan uses the batched
-        :meth:`probe_block`; this per-peer form is the reference the
-        test suite's brute-force oracle calls.
+        the separate-call code exactly. The scan inlines this arithmetic
+        in its survivor loop (:meth:`repro.d2d.base.D2DMedium._scan`);
+        this per-peer form is the reference the test suite's brute-force
+        oracle calls.
         """
         value = rssi_at(
             distance_m,
@@ -89,33 +90,6 @@ class LinkModel:
             self.reference_m,
         )
         return None if value < self.sensitivity_dbm else value
-
-    def probe_block(self, distances_m) -> "list[Optional[float]]":
-        """Batched :meth:`probe` over a whole candidate block.
-
-        One call per scan instead of one per peer: the model fields and
-        ``math.log10`` are hoisted out of the loop, which is where the
-        per-call cost of :meth:`probe` actually goes. The per-element
-        arithmetic is kept as the *same scalar IEEE-754 sequence* as
-        :func:`rssi_at` on purpose — ``numpy.log10`` is not guaranteed
-        correctly rounded, and the sensitivity cutoff sits on the result,
-        so a last-ulp difference could flip a candidate in or out of
-        range and desynchronize the RSSI noise stream between the block
-        scan and a per-peer :meth:`probe` walk (the test suite's oracle).
-        """
-        tx = self.tx_power_dbm
-        ref_db = self.path_loss_at_ref_db
-        slope = 10.0 * self.path_loss_exponent
-        ref_m = self.reference_m
-        floor = self.sensitivity_dbm
-        log10 = math.log10
-        out: list = []
-        append = out.append
-        for distance_m in distances_m:
-            d = distance_m if distance_m > 0.01 else 0.01
-            value = tx - (ref_db + slope * log10(d / ref_m))
-            append(None if value < floor else value)
-        return out
 
     def shadowed(
         self, mean_rssi_dbm: float, rng: Optional[random.Random] = None

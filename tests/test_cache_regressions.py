@@ -52,7 +52,7 @@ def _scan(medium, sim, requester_id, horizon):
     return results[-1]
 
 
-class TestSortedCandidateStamp:
+class TestVectorBlockStamp:
     def test_swapping_unindexable_endpoints_is_visible_to_scans(self):
         """Unregister one unindexable peer, register another: the next
         scan must discover the newcomer, not serve the stale id list
@@ -77,7 +77,7 @@ class TestSortedCandidateStamp:
         found = _scan(medium, sim, "scanner", 6.0)
         assert [p.device_id for p in found] == ["peer-b"]
 
-    def test_sorted_cache_still_hits_when_membership_is_stable(self):
+    def test_vector_block_still_hits_when_membership_is_stable(self):
         """The two-part stamp must not break the cache's happy path."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
@@ -192,6 +192,35 @@ class TestBlockCacheBound:
         _scan(medium, sim, "b", 6.0)
         assert medium._vector_blocks == first
         assert medium.perf.vector_block_builds == 1
+
+
+class TestMoverRefresh:
+    def test_reused_block_rereads_its_movers_at_a_new_instant(self, brute_force):
+        """A block outlives the instant it was built at: a mover drifting
+        inside one index cell keeps the stamp and the block, so a later
+        scan must re-read the mover's coordinates, not serve the ones
+        baked in at the first scan."""
+
+        def run():
+            sim = Simulator(seed=1)
+            medium = D2DMedium(sim, WIFI_DIRECT)
+            medium.register(D2DEndpoint("scanner", StaticMobility((10.0, 10.0))))
+            # at x = 22 m and 25 m when the scans complete: the scanner's cell
+            mover = D2DEndpoint("mover", LinearMobility((20.0, 10.0), (1.0, 0.0)))
+            mover.advertising = True
+            medium.register(mover)
+            scans = [_scan(medium, sim, "scanner", horizon) for horizon in (3.0, 13.0)]
+            observed = [
+                [(p.device_id, p.rssi_dbm, p.estimated_distance_m) for p in found]
+                for found in scans
+            ]
+            return medium, observed
+
+        medium, indexed = run()
+        assert medium.perf.vector_block_builds == 1
+        with brute_force():
+            __, brute = run()
+        assert indexed == brute
 
 
 class TestMoverSlack:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.d2d.base import D2DEndpoint, D2DMedium, D2DTransferError
+from repro.d2d.base import D2DEndpoint, D2DMedium, D2DTransferError, PeerInfo
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel, EnergyPhase
 from repro.energy.profiles import DEFAULT_PROFILE
@@ -440,6 +440,23 @@ class TestAdvertisementSafety:
             peer.advertisement["role"] = "hacked"
         with pytest.raises(TypeError):
             del peer.advertisement["role"]
+
+    def test_peer_info_is_an_immutable_record(self):
+        view = {"role": "relay"}
+        by_keyword = PeerInfo(
+            device_id="relay",
+            rssi_dbm=-40.0,
+            estimated_distance_m=2.0,
+            advertisement=view,
+        )
+        by_position = PeerInfo("relay", -40.0, 2.0, view)
+        assert by_keyword == by_position
+        assert by_position.device_id == "relay"
+        assert by_position.rssi_dbm == -40.0
+        assert by_position.estimated_distance_m == 2.0
+        assert by_position.advertisement is view
+        with pytest.raises(AttributeError):
+            by_position.rssi_dbm = 0.0
 
     def test_consumer_snapshot_leaves_source_intact(self, sim, medium):
         medium.register(make_endpoint("ue"))

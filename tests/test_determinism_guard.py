@@ -26,21 +26,40 @@ from repro.workload.apps import STANDARD_APP
 SEEDS = (0, 1, 2)
 
 
+#: a same-instant cohort: a slow mover and two static devices that stay
+#: inside one 50 m index cell for the whole run, so their scans share
+#: one coordinate block
+COHORT = (
+    ("c0", LinearMobility, ((110.0, 110.0), (0.1, 0.05))),
+    ("c1", StaticMobility, ((112.0, 118.0),)),
+    ("c2", StaticMobility, ((125.0, 104.0),)),
+)
+
+
 def _run_discovery_rounds(seed, tweak=None):
     """Scatter endpoints (static + mobile), run repeated interleaved scans,
-    and return every (scan, peer, rssi, distance) observation in order."""
+    and return every (scan, peer, rssi, distance) observation in order,
+    the number of kernel events and the medium's perf counters.
+
+    Odd rounds add a cohort scan: every ``COHORT`` member, the mover
+    included, scans at one instant from one cell."""
     sim = Simulator(seed=seed)
     medium = D2DMedium(sim, WIFI_DIRECT)
+    specs = []
     for i in range(30):
         pos = (float((i * 37) % 240), float((i * 59) % 240))
         if i % 5 == 0:
             mobility = LinearMobility(pos, (2.0, -1.5))
         else:
             mobility = StaticMobility(pos)
+        specs.append((f"d{i}", mobility, i))
+    for i, (device_id, model, args) in enumerate(COHORT, start=30):
+        specs.append((device_id, model(*args), i))
+    for device_id, mobility, i in specs:
         endpoint = D2DEndpoint(
-            f"d{i}",
+            device_id,
             mobility,
-            energy=EnergyModel(owner=f"d{i}"),
+            energy=EnergyModel(owner=device_id),
             advertisement={"n": i},
         )
         endpoint.advertising = i % 2 == 0
@@ -63,8 +82,11 @@ def _run_discovery_rounds(seed, tweak=None):
         start = round_no * 10.0
         sim.schedule_at(start, scan, f"d{round_no * 3 % 30}", f"r{round_no}-a")
         sim.schedule_at(start + 2.5, scan, f"d{(round_no * 7 + 1) % 30}", f"r{round_no}-b")
+        if round_no % 2 == 1:
+            for device_id, __, __ in COHORT:
+                sim.schedule_at(start + 5.0, scan, device_id, f"r{round_no}-{device_id}")
     sim.run_until(70.0)
-    return observations, sim.events_fired
+    return observations, sim.events_fired, medium.perf
 
 
 def _assert_crowd_matches_oracle(brute_force, **kwargs):
@@ -81,13 +103,15 @@ def _assert_crowd_matches_oracle(brute_force, **kwargs):
 class TestDiscoveryIdentity:
     def test_indexed_scan_matches_brute_force_exactly(self, brute_force):
         for seed in SEEDS:
-            indexed, indexed_events = _run_discovery_rounds(seed)
+            indexed, indexed_events, perf = _run_discovery_rounds(seed)
             with brute_force():
-                brute, brute_events = _run_discovery_rounds(seed)
+                brute, brute_events, __ = _run_discovery_rounds(seed)
             # Same peers, same RSSI draws, same ordering — not just same sets.
             assert indexed == brute, f"discovery diverged for seed {seed}"
             assert indexed_events == brute_events
             assert indexed, f"seed {seed} produced no observations (vacuous)"
+            # the cohorts really scanned through shared blocks
+            assert perf.vector_block_builds < perf.scans
 
 
 class TestCrowdMetricsIdentity:
@@ -130,8 +154,8 @@ class TestScanFastPathIdentity:
 
     def test_static_position_memo_is_pure_acceleration(self):
         for seed in SEEDS:
-            fast, fast_events = _run_discovery_rounds(seed)
-            slow, slow_events = _run_discovery_rounds(seed, tweak=self._no_memo)
+            fast, fast_events, __ = _run_discovery_rounds(seed)
+            slow, slow_events, __ = _run_discovery_rounds(seed, tweak=self._no_memo)
             assert fast == slow, f"memoised scan diverged for seed {seed}"
             assert fast_events == slow_events
             assert fast, f"seed {seed} produced no observations (vacuous)"
@@ -145,7 +169,7 @@ class TestScanFastPathIdentity:
         assert len(medium._static_pos) == 30
         assert 0 < perf["vector_block_builds"] < perf["scans"]
 
-    def test_repeat_scans_hit_the_sorted_cache(self):
+    def test_repeat_scans_reuse_the_vector_block(self):
         sim = Simulator(seed=0)
         medium = D2DMedium(sim, WIFI_DIRECT)
         for i in range(12):
