@@ -6,10 +6,12 @@ on a 2-core host):
 - **5000 devices, 2 shards** — the serial and process backends must
   merge to byte-identical metrics (the sharded kernel's determinism
   contract at a scale with real handover and ghost traffic).
-- **20000 devices, 4 shards** — column bands vs load-balanced tiles on a
-  hotspot crowd. Both plans must deliver near-identical heartbeat counts,
-  the tile plan must keep the device skew (max/mean devices per shard)
-  within its documented bound, and it must shorten the critical path.
+- **20000 devices, 4 shards** — load-balanced tiles vs column bands on a
+  hotspot crowd. Bands are the partition tiles replaced, replayed through
+  the ``band_partition`` oracle fixture (repo-root ``conftest.py``). Both
+  plans must deliver near-identical heartbeat counts, the tile plan must
+  keep the device skew (max/mean devices per shard) within its
+  documented bound, and it must shorten the critical path.
 
 The critical path is the sum over sync windows of the slowest shard's
 work: a **projection** of the wall time on a machine with one core per
@@ -61,18 +63,20 @@ def _sharded_5000(backend):
     )
 
 
-def _balanced_20000(plan):
+def _balanced_20000():
     return _storm_crowd(
         n_devices=20_000, duration_s=60.0, arena=Arena(2400.0, 2400.0),
         # seed 2, not 0: the 12-hotspot draw must land unevenly across
         # the column bands or the comparison shows nothing
-        seed=2, shards=4, cells_x=10, cells_y=4, shard_plan=plan,
+        seed=2, shards=4, cells_x=10, cells_y=4,
     )
 
 
 @pytest.fixture(scope="module")
-def plans():
-    return {plan: _balanced_20000(plan) for plan in ("bands", "tiles")}
+def plans(band_partition):
+    with band_partition():
+        bands = _balanced_20000()
+    return {"bands": bands, "tiles": _balanced_20000()}
 
 
 def test_serial_and_process_backends_merge_identically():

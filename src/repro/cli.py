@@ -150,17 +150,19 @@ def _cmd_crowd_sharded(args: argparse.Namespace) -> int:
             mobile_fraction=args.mobile_fraction,
             shards=args.shards,
             backend=args.shard_backend or "serial",
-            shard_plan=args.shard_plan or "bands",
-            channel=args.channel, chaos=args.chaos_profile,
+            channel=args.channel,
+            shadowing_sigma_db=args.shadowing_sigma,
+            selection_policy=args.selection_policy,
+            chaos=args.chaos_profile,
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     delivery = result.metrics.delivery
     print(format_table(
-        ["Shards", "Plan", "Backend", "Windows", "Handovers", "Ghosts",
+        ["Shards", "Backend", "Windows", "Handovers", "Ghosts",
          "L3 msgs", "Energy (µAh)", "On-time"],
-        [[result.params.n_shards, result.params.shard_plan, result.backend,
+        [[result.params.n_shards, result.backend,
           result.windows, result.handovers, result.ghost_registrations,
           result.metrics.total_l3_messages,
           result.metrics.total_energy_uah(),
@@ -290,7 +292,6 @@ def _cmd_runner_sweep(args: argparse.Namespace) -> int:
         ("selection_policy", "selection_policy"),
         ("shards", "shards"),
         ("shard_backend", "shard_backend"),
-        ("shard_plan", "shard_plan"),
     ):
         value = getattr(args, flag, None)
         if value is not None and param in accepted and param not in grid:
@@ -673,17 +674,13 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="run crowds on the cell-sharded kernel with N shards "
-             "(N > 1; devices are partitioned by serving-cell column)")
+             "(N > 1; serving cells are packed into load-balanced "
+             "rectangular tiles, one per shard)")
     parser.add_argument(
         "--shard-backend", default=None, choices=["serial", "process"],
         help="sharded execution: all shards in-process ('serial', the "
              "reference) or one worker process per shard ('process'); "
              "both produce byte-identical metrics")
-    parser.add_argument(
-        "--shard-plan", default=None, choices=["bands", "tiles"],
-        help="cell-to-shard partition: legacy column 'bands' (default; "
-             "needs one cell column per shard) or load-balanced "
-             "rectangular 'tiles' packed from the initial device density")
 
 
 def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:

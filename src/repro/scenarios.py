@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence
 
 from repro.baseline.original import OriginalSystem
 from repro.cellular.basestation import BaseStation
@@ -42,6 +42,7 @@ from repro.metrics import FaultMetrics, RunMetrics, collect_metrics
 from repro.mobility.models import MobilityModel, StaticMobility, place_crowd
 from repro.mobility.space import Arena
 from repro.sim.engine import Simulator
+from repro.sim.rng import make_rng
 from repro.workload.apps import AppProfile, STANDARD_APP
 from repro.workload.server import IMServer
 
@@ -588,7 +589,6 @@ def crowd_metrics_runner(
     mobile_fraction: float = 0.0,
     shards: int = 1,
     shard_backend: str = "serial",
-    shard_plan: str = "bands",
 ) -> Dict[str, float]:
     """Grid runner: one crowd run → plain scalar metrics.
 
@@ -603,18 +603,13 @@ def crowd_metrics_runner(
     ``shards > 1`` dispatches to the cell-sharded kernel
     (:func:`repro.shard.run_crowd_scenario_sharded`) with
     ``shard_backend`` choosing serial or process execution; the sharded
-    kernel rejects chaos/channel/audit combinations it cannot honor.
+    kernel rejects the channel, chaos and audit options it cannot honor.
     """
     if hotspots is None:
         hotspots = max(2, n_devices // 20)
     if shards > 1:
         from repro.shard import run_crowd_scenario_sharded
 
-        if selection_policy not in (None, "distance"):
-            raise ValueError(
-                "sharded kernel supports the default distance selection "
-                f"policy only, got {selection_policy!r}"
-            )
         sharded = run_crowd_scenario_sharded(
             n_devices=n_devices,
             relay_fraction=relay_fraction,
@@ -627,8 +622,9 @@ def crowd_metrics_runner(
             heartbeat_period_s=heartbeat_period_s,
             shards=shards,
             backend=shard_backend,
-            shard_plan=shard_plan,
             channel=channel,
+            shadowing_sigma_db=shadowing_sigma_db,
+            selection_policy=selection_policy,
             chaos=chaos_profile,
             audit=audit,
         )
@@ -814,36 +810,77 @@ RUNNER_REGISTRY: Dict[str, Callable[..., Dict[str, float]]] = {
 }
 
 
-def _select_relay_indices(
-    strategy: str,
-    mobilities: Sequence[MobilityModel],
-    n_relays: int,
-    context: NetworkContext,
-    match_config: Optional[MatchConfig],
-) -> set:
-    """Which device indices the operator appoints as relays."""
-    if strategy == "roundrobin" or n_relays == 0:
-        return set(range(n_relays))
-    from repro.core.operator import (
-        Participant,
-        greedy_relay_selection,
-        random_relay_selection,
-    )
+class CrowdLayout(NamedTuple):
+    """Who stands where, who relays, and when each device beats."""
 
-    pair_range = (match_config or MatchConfig()).max_pair_distance_m
-    participants = [
-        Participant(str(i), mobility.position(0.0))
-        for i, mobility in enumerate(mobilities)
-    ]
-    if strategy == "greedy":
-        chosen = greedy_relay_selection(
-            participants, range_m=pair_range, max_relays=n_relays
+    mobilities: List[MobilityModel]
+    relay_indices: FrozenSet[int]
+    #: heartbeat phase fraction per device (relays beat at phase 0)
+    phases: List[float]
+
+
+def crowd_layout(
+    n_devices: int,
+    relay_fraction: float,
+    arena: Arena,
+    seed: int,
+    hotspots: int = 3,
+    hotspot_spread_m: float = 8.0,
+    mobile_fraction: float = 0.0,
+    relay_selection: str = "roundrobin",
+    pair_range_m: Optional[float] = None,
+) -> CrowdLayout:
+    """The crowd both kernels simulate, drawn from the master seed.
+
+    Placement, the operator's relay choice and the heartbeat phases each
+    come from their own named stream (``crowd-placement``,
+    ``relay-selection``, ``crowd-phases``) with one draw per device in
+    index order, so the unsharded run and every shard of a sharded run
+    see the same crowd. ``relay_selection`` picks who the operator
+    appoints: ``"roundrobin"`` (the first devices of each hotspot),
+    ``"greedy"`` (dominating-set planning over ``pair_range_m``, default
+    the matcher's pair range) or ``"random"``.
+    """
+    if not 0.0 <= relay_fraction <= 1.0:
+        raise ValueError(f"relay_fraction out of [0,1]: {relay_fraction}")
+    if relay_selection not in ("roundrobin", "greedy", "random"):
+        raise ValueError(f"unknown relay_selection {relay_selection!r}")
+    mobilities = place_crowd(
+        n_devices,
+        arena,
+        make_rng(seed, "crowd-placement"),
+        hotspots=hotspots,
+        spread_m=hotspot_spread_m,
+        mobile_fraction=mobile_fraction,
+    )
+    n_relays = int(round(n_devices * relay_fraction))
+    if relay_selection == "roundrobin" or n_relays == 0:
+        relay_indices = frozenset(range(n_relays))
+    else:
+        from repro.core.operator import (
+            Participant,
+            greedy_relay_selection,
+            random_relay_selection,
         )
-    else:  # random
-        chosen = random_relay_selection(
-            participants, n_relays, context.sim.rng.get("relay-selection")
-        )
-    return {int(device_id) for device_id in chosen}
+
+        participants = [
+            Participant(str(i), mobility.position(0.0))
+            for i, mobility in enumerate(mobilities)
+        ]
+        if relay_selection == "greedy":
+            if pair_range_m is None:
+                pair_range_m = MatchConfig().max_pair_distance_m
+            chosen = greedy_relay_selection(
+                participants, range_m=pair_range_m, max_relays=n_relays
+            )
+        else:  # random
+            chosen = random_relay_selection(
+                participants, n_relays, make_rng(seed, "relay-selection")
+            )
+        relay_indices = frozenset(int(device_id) for device_id in chosen)
+    phase_rng = make_rng(seed, "crowd-phases")
+    phases = [phase_rng.random() for _ in mobilities]
+    return CrowdLayout(mobilities, relay_indices, phases)
 
 
 def run_crowd_scenario(
@@ -881,20 +918,24 @@ def run_crowd_scenario(
     scheduling additional traffic (e.g. push notifications).
 
     ``relay_fraction`` of devices volunteer as relays; the rest are UEs
-    (or everything standalone in ``mode="original"``). Phases are random
-    but seeded. ``relay_selection`` picks who the operator appoints:
-    ``"roundrobin"`` (the first devices of each hotspot), ``"greedy"``
-    (dominating-set planning from :mod:`repro.core.operator`) or
-    ``"random"``.
+    (or everything standalone in ``mode="original"``). Placement, relay
+    choice (``relay_selection``) and phases come from
+    :func:`crowd_layout`, the builder the sharded kernel shares.
     """
-    if not 0.0 <= relay_fraction <= 1.0:
-        raise ValueError(f"relay_fraction out of [0,1]: {relay_fraction}")
     if mode not in ("d2d", "original"):
         raise ValueError(f"mode must be 'd2d' or 'original', got {mode!r}")
-    if relay_selection not in ("roundrobin", "greedy", "random"):
-        raise ValueError(f"unknown relay_selection {relay_selection!r}")
     match_config = _apply_selection_policy(match_config, selection_policy)
-    arena = arena or Arena(60.0, 60.0)
+    layout = crowd_layout(
+        n_devices,
+        relay_fraction,
+        arena or Arena(60.0, 60.0),
+        seed,
+        hotspots=hotspots,
+        hotspot_spread_m=hotspot_spread_m,
+        mobile_fraction=mobile_fraction,
+        relay_selection=relay_selection,
+        pair_range_m=(match_config or MatchConfig()).max_pair_distance_m,
+    )
     context = build_network(
         seed=seed,
         profile=profile,
@@ -905,21 +946,6 @@ def run_crowd_scenario(
         num_rbs=num_rbs,
         shadowing_sigma_db=shadowing_sigma_db,
     )
-    placement_rng = context.sim.rng.get("crowd-placement")
-    mobilities = place_crowd(
-        n_devices,
-        arena,
-        placement_rng,
-        hotspots=hotspots,
-        spread_m=hotspot_spread_m,
-        mobile_fraction=mobile_fraction,
-    )
-    n_relays = int(round(n_devices * relay_fraction))
-    relay_indices = _select_relay_indices(
-        relay_selection, mobilities, n_relays, context, match_config
-    )
-    phase_rng = context.sim.rng.get("crowd-phases")
-
     devices: Dict[str, Smartphone] = {}
     relay_ids: List[str] = []
     ue_ids: List[str] = []
@@ -937,8 +963,8 @@ def run_crowd_scenario(
     else:
         original = OriginalSystem([], app=app)
 
-    for i, mobility in enumerate(mobilities):
-        is_relay = i in relay_indices and mode == "d2d"
+    for i, (mobility, phase) in enumerate(zip(layout.mobilities, layout.phases)):
+        is_relay = i in layout.relay_indices and mode == "d2d"
         role = (
             Role.RELAY
             if is_relay
@@ -960,7 +986,6 @@ def run_crowd_scenario(
             relay_ids.append(device.device_id)
         else:
             ue_ids.append(device.device_id)
-        phase = phase_rng.random()
         if framework is not None:
             framework.add_device(device, phase_fraction=phase if not is_relay else 0.0)
         else:

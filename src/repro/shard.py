@@ -45,9 +45,10 @@ determinism guard asserts, is
 - replay: the same ``(params, seed)`` always reproduces the same merged
   metrics, whichever backend ran it.
 
-Every shard rebuilds the full crowd layout (placement, roles, phases)
-from the master seed's named streams, then instantiates only its own
-devices — no layout data ever needs to cross a process boundary.
+Every shard reads the full crowd layout (placement, roles, phases) from
+:func:`repro.scenarios.crowd_layout`, the builder the unsharded kernel
+uses, then instantiates only its own devices — no layout data ever needs
+to cross a process boundary.
 """
 
 from __future__ import annotations
@@ -70,16 +71,13 @@ from repro.device import Role, Smartphone
 from repro.energy.model import EnergyModel
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.metrics import DeliveryMetrics, RunMetrics, collect_metrics
-from repro.mobility.models import MobilityModel, place_crowd
+from repro.mobility.models import MobilityModel
 from repro.mobility.space import Arena, Position, distance_between
+from repro.scenarios import DEFAULT_DRAIN_S, CrowdLayout, crowd_layout
 from repro.sim.engine import Simulator
-from repro.sim.rng import child_seed, make_rng
+from repro.sim.rng import child_seed
 from repro.workload.apps import STANDARD_APP
 from repro.workload.server import IMServer
-
-#: Matches :data:`repro.scenarios.DEFAULT_DRAIN_S` (not imported to keep
-#: this module import-light for spawned workers).
-_DEFAULT_DRAIN_S = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -121,8 +119,7 @@ def _tile_partition(
     ties break deterministically (x-cut before y-cut, lowest cut line
     first), so every shard worker derives the identical partition.
 
-    Unlike the column-band plan this never requires ``cells_x >= n_shards``
-    — any grid with at least one cell per shard is packable.
+    Any grid with at least one cell per shard is packable.
     """
     assignment = [0] * (cells_x * cells_y)
 
@@ -185,18 +182,11 @@ class ShardPlan:
     """The static cell-to-shard partition every participant agrees on.
 
     Cells form a ``cells_x × cells_y`` grid over the arena (see
-    :func:`repro.cellular.network.grid_cell_positions`). Two partition
-    shapes exist:
-
-    - ``plan="bands"`` (default): shard ownership by **column band** —
-      shard boundaries are vertical lines and a device's home shard
-      depends only on its x position at t=0. The legacy partition; kept
-      byte-identical so existing pinned runs replay exactly.
-    - ``plan="tiles"``: rectangular **tiles** packed by the weighted
-      bisection in :func:`_tile_partition`, balancing per-shard device
-      load from the ``cell_weights`` cost model (device counts from the
-      initial placements). Lifts the ``n_shards <= cells_x`` band limit —
-      any grid with one cell per shard works.
+    :func:`repro.cellular.network.grid_cell_positions`), packed into
+    rectangular shard **tiles** by the weighted bisection in
+    :func:`_tile_partition`. The ``cell_weights`` cost model (device
+    counts from the initial placements; uniform when omitted) balances
+    per-shard device load. Any grid with one cell per shard works.
     """
 
     def __init__(
@@ -206,24 +196,12 @@ class ShardPlan:
         cells_y: int,
         arena_w: float,
         arena_h: float,
-        plan: str = "bands",
         cell_weights: Optional[Sequence[float]] = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"need at least one shard, got {n_shards}")
-        if plan not in ("bands", "tiles"):
-            raise ValueError(
-                f"shard plan must be 'bands' or 'tiles', got {plan!r}"
-            )
         n_cells = cells_x * cells_y
-        if plan == "bands" and cells_x < n_shards:
-            raise ValueError(
-                f"column bands need at least one cell column per shard: "
-                f"cells_x={cells_x} < n_shards={n_shards} "
-                f"(use --shard-plan tiles to pack shards into 2-D tiles "
-                f"instead of column bands)"
-            )
-        if plan == "tiles" and n_cells < n_shards:
+        if n_cells < n_shards:
             raise ValueError(
                 f"need at least one grid cell per shard: "
                 f"{cells_x}x{cells_y}={n_cells} cells < n_shards={n_shards}"
@@ -236,24 +214,14 @@ class ShardPlan:
         self.n_shards = n_shards
         self.cells_x = cells_x
         self.cells_y = cells_y
-        self.plan_kind = plan
         self.cell_positions: List[Position] = grid_cell_positions(
             arena_w, arena_h, cells_x, cells_y
         )
         #: cell index -> owning shard
-        if plan == "bands":
-            self.cell_shards: List[int] = [
-                (c % cells_x) * n_shards // cells_x
-                for c in range(len(self.cell_positions))
-            ]
-        else:
-            weights = (
-                list(cell_weights) if cell_weights is not None
-                else [1.0] * n_cells
-            )
-            self.cell_shards = _tile_partition(
-                n_shards, cells_x, cells_y, weights
-            )
+        self.cell_shards: List[int] = _tile_partition(
+            n_shards, cells_x, cells_y,
+            [1.0] * n_cells if cell_weights is None else list(cell_weights),
+        )
         self._shard_cells: List[List[Position]] = [[] for _ in range(n_shards)]
         for position, shard in zip(self.cell_positions, self.cell_shards):
             self._shard_cells[shard].append(position)
@@ -315,7 +283,7 @@ class CrowdShardParams:
     seed: int = 0
     capacity: int = 10
     relay_selection: str = "roundrobin"
-    drain_s: float = _DEFAULT_DRAIN_S
+    drain_s: float = DEFAULT_DRAIN_S
     heartbeat_period_s: Optional[float] = None
     storm_scan_period_s: Optional[float] = None
     n_shards: int = 2
@@ -323,37 +291,39 @@ class CrowdShardParams:
     cells_y: int = 2
     sync_window_s: float = 5.0
     ghost_margin_m: float = WIFI_DIRECT.max_range_m
-    shard_plan: str = "bands"
 
-    def plan(self) -> ShardPlan:
+    def layout(self) -> CrowdLayout:
+        """The whole crowd, from the master seed (see :func:`crowd_layout`)."""
+        return crowd_layout(
+            self.n_devices,
+            self.relay_fraction,
+            Arena(self.arena_w, self.arena_h),
+            self.seed,
+            hotspots=self.hotspots,
+            hotspot_spread_m=self.hotspot_spread_m,
+            mobile_fraction=self.mobile_fraction,
+            relay_selection=self.relay_selection,
+        )
+
+    def plan(self, layout: Optional[CrowdLayout] = None) -> ShardPlan:
         """Build the partition every shard worker independently agrees on.
 
-        The tile plan's cost model needs the t=0 device placements; they
-        are re-derived here from the master seed's ``crowd-placement``
-        stream (the same draw order :class:`_ShardState` replays), so
-        every worker computes identical weights — no plan data crosses a
-        process boundary.
+        The tile cost model counts the crowd's t=0 placements per cell.
+        Every worker reads them from the same :meth:`layout` and so
+        computes identical weights — no plan data crosses a process
+        boundary. Pass ``layout`` when it is already built.
         """
-        weights = None
-        if self.shard_plan == "tiles":
-            mobilities = place_crowd(
-                self.n_devices,
-                Arena(self.arena_w, self.arena_h),
-                make_rng(self.seed, "crowd-placement"),
-                hotspots=self.hotspots,
-                spread_m=self.hotspot_spread_m,
-                mobile_fraction=self.mobile_fraction,
-            )
-            weights = cell_occupancy(
-                grid_cell_positions(
-                    self.arena_w, self.arena_h, self.cells_x, self.cells_y
-                ),
-                [m.position(0.0) for m in mobilities],
-            )
+        if layout is None:
+            layout = self.layout()
+        weights = cell_occupancy(
+            grid_cell_positions(
+                self.arena_w, self.arena_h, self.cells_x, self.cells_y
+            ),
+            [m.position(0.0) for m in layout.mobilities],
+        )
         return ShardPlan(
             self.n_shards, self.cells_x, self.cells_y,
-            self.arena_w, self.arena_h,
-            plan=self.shard_plan, cell_weights=weights,
+            self.arena_w, self.arena_h, cell_weights=weights,
         )
 
 
@@ -390,41 +360,6 @@ class GhostMobility(MobilityModel):
 # ----------------------------------------------------------------------
 # per-shard world
 # ----------------------------------------------------------------------
-def _relay_indices(
-    params: CrowdShardParams, mobilities: Sequence[MobilityModel]
-) -> set:
-    """Global relay assignment, identical in every shard.
-
-    Mirrors :func:`repro.scenarios._select_relay_indices`, but draws the
-    random strategy's RNG from ``make_rng(seed, "relay-selection")``
-    directly — the per-shard simulators are seeded with child seeds, so
-    the shared layout must come from the master seed's streams.
-    """
-    n_relays = int(round(params.n_devices * params.relay_fraction))
-    if params.relay_selection == "roundrobin" or n_relays == 0:
-        return set(range(n_relays))
-    from repro.core.operator import (
-        Participant,
-        greedy_relay_selection,
-        random_relay_selection,
-    )
-
-    pair_range = MatchConfig().max_pair_distance_m
-    participants = [
-        Participant(str(i), mobility.position(0.0))
-        for i, mobility in enumerate(mobilities)
-    ]
-    if params.relay_selection == "greedy":
-        chosen = greedy_relay_selection(
-            participants, range_m=pair_range, max_relays=n_relays
-        )
-    else:  # random
-        chosen = random_relay_selection(
-            participants, n_relays, make_rng(params.seed, "relay-selection")
-        )
-    return {int(device_id) for device_id in chosen}
-
-
 #: (device_id, x, y, role) — one routed ghost entry.
 GhostEntry = Tuple[str, float, float, str]
 #: (device_id, x, y, role, target_shards) — one border-report entry.
@@ -434,33 +369,22 @@ ReportEntry = Tuple[str, float, float, str, List[int]]
 class _ShardState:
     """One shard's complete world: simulator, cells, devices, framework.
 
-    Every shard rebuilds the *full* crowd layout from the master seed's
-    named streams (placement, roles, heartbeat phases are global facts),
-    then instantiates only the devices homed in its own cells.
+    Every shard reads the *full* crowd layout (placement, roles and
+    heartbeat phases are global facts), then attaches and instantiates
+    only the devices homed in its own cells.
     """
 
     def __init__(self, shard_index: int, params: CrowdShardParams) -> None:
         self.shard_index = shard_index
         self.params = params
-        self.plan = params.plan()
+        layout = params.layout()
+        self.plan = params.plan(layout)
         self.sim = Simulator(seed=child_seed(params.seed, f"shard:{shard_index}"))
         self.network = CellularNetwork(self.sim, self.plan.cell_positions)
         self.server = IMServer(self.sim)
         self.network.attach_sink_everywhere(self.server.uplink_sink)
         self.medium = D2DMedium(self.sim, WIFI_DIRECT, profile=DEFAULT_PROFILE)
 
-        arena = Arena(params.arena_w, params.arena_h)
-        placement_rng = make_rng(params.seed, "crowd-placement")
-        mobilities = place_crowd(
-            params.n_devices,
-            arena,
-            placement_rng,
-            hotspots=params.hotspots,
-            spread_m=params.hotspot_spread_m,
-            mobile_fraction=params.mobile_fraction,
-        )
-        relay_indices = _relay_indices(params, mobilities)
-        phase_rng = make_rng(params.seed, "crowd-phases")
         app = STANDARD_APP
         if params.heartbeat_period_s is not None:
             app = dataclasses.replace(
@@ -477,14 +401,13 @@ class _ShardState:
         )
         self.devices: Dict[str, Smartphone] = {}
         self.relay_ids: List[str] = []
-        for i, mobility in enumerate(mobilities):
-            # the phase stream is global: consume a draw for EVERY device
-            # so shard membership never shifts another device's phase
-            phase = phase_rng.random()
+        for i, (mobility, phase) in enumerate(
+            zip(layout.mobilities, layout.phases)
+        ):
             pos0 = mobility.position(0.0)
             if self.plan.shard_of_position(pos0) != shard_index:
                 continue
-            is_relay = i in relay_indices
+            is_relay = i in layout.relay_indices
             device_id = f"{'relay' if is_relay else 'dev'}-{i}"
             cell = self.network.attach(device_id, pos0)
             device = Smartphone(
@@ -858,7 +781,7 @@ def run_crowd_scenario_sharded(
     capacity: int = 10,
     seed: int = 0,
     relay_selection: str = "roundrobin",
-    drain_s: float = _DEFAULT_DRAIN_S,
+    drain_s: float = DEFAULT_DRAIN_S,
     heartbeat_period_s: Optional[float] = None,
     storm_scan_period_s: Optional[float] = None,
     shards: int = 2,
@@ -866,10 +789,12 @@ def run_crowd_scenario_sharded(
     cells_y: int = 2,
     sync_window_s: float = 5.0,
     ghost_margin_m: float = WIFI_DIRECT.max_range_m,
-    shard_plan: str = "bands",
+    shard_plan: str = "tiles",
     backend: str = "serial",
     mode: str = "d2d",
     channel: Optional[str] = None,
+    shadowing_sigma_db: Optional[float] = None,
+    selection_policy: Optional[str] = None,
     chaos=None,
     audit: Optional[bool] = None,
 ) -> ShardedRunResult:
@@ -878,25 +803,28 @@ def run_crowd_scenario_sharded(
     ``backend="serial"`` runs every shard in this process (the reference
     implementation); ``backend="process"`` runs one worker process per
     shard. Both execute the identical window protocol and must produce
-    byte-identical merged metrics. ``shard_plan`` picks the partition:
-    ``"bands"`` (legacy column bands, byte-identical to prior releases)
-    or ``"tiles"`` (load-balanced rectangular tiles, see
-    :class:`ShardPlan`).
+    byte-identical merged metrics. Cells are partitioned into
+    load-balanced rectangular tiles (see :class:`ShardPlan`);
+    ``shard_plan`` accepts only ``"tiles"``.
 
-    The ``mode``/``channel``/``chaos``/``audit`` parameters exist only to
-    make unsupported combinations loud: the sharded kernel currently runs
-    the d2d framework on the fixed-cost channel without fault injection.
-    Single-cell features that need global state (the SINR channel's
-    shared resource blocks, chaos scheduling, the cross-device auditor)
-    raise rather than silently computing something subtly different —
-    and the error lists *every* offending option at once, so a sweep
-    config with several bad knobs needs one round trip to fix, not four.
+    The ``mode``/``channel``/``shadowing_sigma_db``/``selection_policy``/
+    ``chaos``/``audit`` parameters exist only to make unsupported
+    combinations loud: the sharded kernel currently runs the d2d
+    framework on the fixed-cost channel with the default link model and
+    the distance ranking, without fault injection. Options it cannot
+    honor raise rather than silently computing something different — and
+    the error lists *every* offending option at once, so a sweep config
+    with several bad knobs needs one round trip to fix, not several.
     """
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
     if backend not in ("serial", "process"):
         raise ValueError(f"backend must be 'serial' or 'process', got {backend!r}")
     blockers: List[str] = []
+    if shard_plan != "tiles":
+        blockers.append(
+            f"shard_plan={shard_plan!r} (tiles are the only partition)"
+        )
     if mode != "d2d":
         blockers.append(
             f"mode={mode!r} (only the d2d framework is sharded; the "
@@ -906,6 +834,16 @@ def run_crowd_scenario_sharded(
         blockers.append(
             f"channel={channel!r} (the SINR channel's shared resource "
             f"blocks are global state)"
+        )
+    if shadowing_sigma_db is not None:
+        blockers.append(
+            f"shadowing_sigma_db={shadowing_sigma_db!r} (shards run the "
+            f"default link model)"
+        )
+    if selection_policy not in (None, "distance"):
+        blockers.append(
+            f"selection_policy={selection_policy!r} (channel-aware ranking "
+            f"needs the SINR channel)"
         )
     if chaos is not None:
         blockers.append(
@@ -946,7 +884,6 @@ def run_crowd_scenario_sharded(
         cells_y=cells_y,
         sync_window_s=sync_window_s,
         ghost_margin_m=ghost_margin_m,
-        shard_plan=shard_plan,
     )
     params.plan()  # validate the partition before any worker starts
 

@@ -259,7 +259,8 @@ class TestShardedKernelIdentity:
     design promises: the serial and process backends are byte-identical,
     replay is byte-identical, and delivery is complete — every beat the
     unsharded kernel delivers, the sharded kernel delivers too, even
-    with movers crossing shard borders (handovers observed > 0).
+    with movers crossing shard borders (handovers observed > 0). The
+    geometry is 2 shards tiled over the default 4x2 cell grid.
     """
 
     KWARGS = dict(
@@ -316,20 +317,19 @@ class TestShardedKernelIdentity:
 
 
 class TestTilePlanIdentity:
-    """The tile shard plan obeys the same determinism contract as bands.
+    """The same determinism contract on a tiling cut along both axes.
 
-    The geometry exercises the part bands cannot reach: three shards on a
-    2x2 cell grid (shards > cells_x), so the weighted-bisection planner
-    must cut along both axes and every worker must re-derive the same
-    weighted partition from the master seed before any of the byte-level
-    identities below can hold.
+    Three shards on a 2x2 cell grid (shards > cells_x), so the
+    weighted-bisection planner must cut along both axes and every worker
+    must derive the same weighted partition from the master seed before
+    any of the byte-level identities below can hold.
     """
 
     KWARGS = dict(
         n_devices=60, relay_fraction=0.25, duration_s=120.0,
         arena=Arena(400.0, 120.0), hotspots=6, mobile_fraction=0.3,
         storm_scan_period_s=10.0, shards=3, cells_x=2, cells_y=2,
-        sync_window_s=5.0, seed=3, shard_plan="tiles",
+        sync_window_s=5.0, seed=3,
     )
 
     def test_tile_serial_and_process_backends_identical(self):
@@ -354,8 +354,8 @@ class TestTilePlanIdentity:
         )
 
     def test_tile_delivery_matches_unsharded(self):
-        # Same completeness promise as the band plan: the partition shape
-        # must not cost a single heartbeat vs the unsharded kernel.
+        # Same completeness promise on the two-axis tiling: the partition
+        # shape must not cost a single heartbeat vs the unsharded kernel.
         kwargs = dict(
             n_devices=60, relay_fraction=0.25, duration_s=120.0,
             hotspots=6, mobile_fraction=0.3, seed=3,
@@ -363,7 +363,7 @@ class TestTilePlanIdentity:
         unsharded = run_crowd_scenario(arena=Arena(400.0, 120.0), **kwargs)
         tiled = run_crowd_scenario_sharded(
             arena=Arena(400.0, 120.0), shards=3, cells_x=2, cells_y=2,
-            shard_plan="tiles", **kwargs
+            **kwargs
         )
         assert set(tiled.metrics.devices) == set(unsharded.metrics.devices)
         assert (

@@ -11,7 +11,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 class TestDeliverableFiles:
     def test_required_documents_exist(self):
         for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
-                     "CHANGELOG.md", "pyproject.toml"):
+                     "CHANGES.md", "pyproject.toml"):
             assert (ROOT / name).is_file(), name
 
     def test_docs_directory(self):

@@ -3,19 +3,20 @@
 import pytest
 
 from repro.cellular.network import CellularNetwork, grid_cell_positions
-from repro.mobility.models import place_crowd
+from repro.cli import main
 from repro.mobility.space import Arena
+from repro.scenarios import crowd_metrics_runner, run_crowd_scenario
 from repro.shard import (
     CrowdShardParams,
     GhostMobility,
     ShardPlan,
     _route_reports,
+    _ShardState,
     _tile_partition,
     cell_occupancy,
     run_crowd_scenario_sharded,
 )
 from repro.sim.engine import Simulator
-from repro.sim.rng import make_rng
 
 
 class TestGridCellPositions:
@@ -32,13 +33,11 @@ class TestGridCellPositions:
 
 
 class TestShardPlan:
-    def test_column_band_partition(self):
-        plan = ShardPlan(2, 4, 2, 400.0, 100.0)
-        # columns 0-1 -> shard 0, columns 2-3 -> shard 1, on both rows
-        assert plan.cell_shards == [0, 0, 1, 1, 0, 0, 1, 1]
-
     def test_home_shard_by_position(self):
+        # uniform weights on a 4x2 grid: the tie-break prefers the x cut,
+        # so columns 0-1 go to shard 0 and columns 2-3 to shard 1
         plan = ShardPlan(2, 4, 2, 400.0, 100.0)
+        assert plan.cell_shards == [0, 0, 1, 1, 0, 0, 1, 1]
         assert plan.shard_of_position((10.0, 50.0)) == 0
         assert plan.shard_of_position((390.0, 50.0)) == 1
 
@@ -50,27 +49,18 @@ class TestShardPlan:
         # deep inside shard 0's territory: no foreign shard in reach
         assert plan.border_shards((50.0, 50.0), 0, 50.0) == []
 
-    def test_requires_a_column_per_shard(self):
-        with pytest.raises(ValueError):
-            ShardPlan(4, 2, 2, 400.0, 100.0)
-
-    def test_band_error_names_the_tiles_escape_hatch(self):
-        with pytest.raises(ValueError, match="--shard-plan tiles"):
-            ShardPlan(4, 2, 2, 400.0, 100.0)
-
     def test_rejects_unknown_plan_name(self):
-        with pytest.raises(ValueError, match="bands.*tiles"):
-            ShardPlan(2, 4, 2, 400.0, 100.0, plan="hexagons")
+        # the entry point keeps its shard_plan keyword; tiles is its one value
+        with pytest.raises(ValueError, match="only partition"):
+            run_crowd_scenario_sharded(shard_plan="hexagons")
 
     def test_tiles_need_a_cell_per_shard(self):
         with pytest.raises(ValueError):
-            ShardPlan(5, 2, 2, 400.0, 100.0, plan="tiles")
+            ShardPlan(5, 2, 2, 400.0, 100.0)
 
     def test_rejects_mismatched_cell_weights(self):
         with pytest.raises(ValueError, match="one entry per cell"):
-            ShardPlan(
-                2, 4, 2, 400.0, 100.0, plan="tiles", cell_weights=[1.0] * 3
-            )
+            ShardPlan(2, 4, 2, 400.0, 100.0, cell_weights=[1.0] * 3)
 
 
 class TestCellOccupancy:
@@ -109,7 +99,7 @@ class TestTilePartition:
     def test_lifts_the_column_band_limit(self):
         # 4 shards on a 2x2 grid: impossible as column bands, one cell
         # per shard as tiles
-        plan = ShardPlan(4, 2, 2, 400.0, 100.0, plan="tiles")
+        plan = ShardPlan(4, 2, 2, 400.0, 100.0)
         assert sorted(plan.cell_shards) == [0, 1, 2, 3]
 
     def test_every_shard_is_a_rectangle(self):
@@ -202,6 +192,26 @@ class TestUnsupportedCombinations:
         ):
             assert blocker in message
 
+    def test_rejects_channel_options_instead_of_dropping_them(self):
+        # shadowing and the selection policy used to be dropped on the
+        # way to the shards, which then ran the defaults without a word
+        with pytest.raises(ValueError) as err:
+            run_crowd_scenario_sharded(
+                shadowing_sigma_db=12.0, selection_policy="rate"
+            )
+        message = str(err.value)
+        assert "shadowing_sigma_db=12.0" in message
+        assert "selection_policy='rate'" in message
+        with pytest.raises(ValueError, match="shadowing_sigma_db=12.0"):
+            crowd_metrics_runner(
+                n_devices=60, duration_s=120.0, shards=2, seed=1,
+                shadowing_sigma_db=12.0,
+            )
+        assert main([
+            "crowd", "--shards", "2", "--duration", "60",
+            "--selection-policy", "rate",
+        ]) == 2
+
 
 @pytest.fixture(scope="module")
 def small_sharded_run():
@@ -240,12 +250,42 @@ class TestSmallShardedRun:
         assert {shard for shard in plan.cell_shards} == {0, 1, 2}
 
     def test_tiles_params_round_trip_beyond_the_band_limit(self):
-        params = CrowdShardParams(
-            n_shards=3, cells_x=2, cells_y=2, shard_plan="tiles"
-        )
+        params = CrowdShardParams(n_shards=3, cells_x=2, cells_y=2)
         plan = params.plan()
-        assert plan.plan_kind == "tiles"
         assert {shard for shard in plan.cell_shards} == {0, 1, 2}
+
+
+class TestOneCrowdLayout:
+    """Both kernels build their devices from one crowd layout."""
+
+    @pytest.mark.parametrize("relay_selection", ["roundrobin", "greedy", "random"])
+    def test_shards_partition_the_unsharded_crowd(self, relay_selection):
+        crowd = dict(
+            n_devices=60, relay_fraction=0.25, hotspots=6,
+            mobile_fraction=0.3, seed=3, relay_selection=relay_selection,
+        )
+
+        def layout(devices):
+            return {
+                device_id: (device.role, device.mobility.position(0.0))
+                for device_id, device in devices.items()
+            }
+
+        # snapshot the unsharded crowd before its clock starts
+        unsharded = {}
+        run_crowd_scenario(
+            arena=Arena(400.0, 120.0), duration_s=1.0, drain_s=0.0,
+            pre_run=lambda _context, devices: unsharded.update(layout(devices)),
+            **crowd,
+        )
+        params = CrowdShardParams(arena_w=400.0, arena_h=120.0, **crowd)
+        sharded = {}
+        for i in range(params.n_shards):
+            shard_devices = layout(_ShardState(i, params).devices)
+            assert not set(shard_devices) & set(sharded), "device in two shards"
+            sharded.update(shard_devices)
+        assert len(unsharded) == 60
+        assert sharded == unsharded
 
 
 class TestHotspotCrowdBalance:
@@ -254,8 +294,8 @@ class TestHotspotCrowdBalance:
     Uses the 20000-device geometry of ``benchmarks/test_shard_gates.py``.
     The comparison is planner-level (device counts per shard from the t=0
     placements, the planner's own cost model) — no simulation needed to
-    show the column bands concentrate hotspot load while the weighted
-    tiles spread it.
+    show the column bands (the ``band_partition`` oracle) concentrate
+    hotspot load while the weighted tiles spread it.
     """
 
     GEOMETRY = dict(
@@ -264,22 +304,12 @@ class TestHotspotCrowdBalance:
         seed=2, n_shards=4, cells_x=10, cells_y=4,
     )
 
-    def _device_skew(self, shard_plan):
-        params = CrowdShardParams(shard_plan=shard_plan, **self.GEOMETRY)
-        plan = params.plan()
+    def _device_skew(self):
+        params = CrowdShardParams(**self.GEOMETRY)
+        layout = params.layout()
+        plan = params.plan(layout)
         weights = cell_occupancy(
-            plan.cell_positions,
-            [
-                m.position(0.0)
-                for m in place_crowd(
-                    params.n_devices,
-                    Arena(params.arena_w, params.arena_h),
-                    make_rng(params.seed, "crowd-placement"),
-                    hotspots=params.hotspots,
-                    spread_m=params.hotspot_spread_m,
-                    mobile_fraction=params.mobile_fraction,
-                )
-            ],
+            plan.cell_positions, [m.position(0.0) for m in layout.mobilities]
         )
         per_shard = [0.0] * plan.n_shards
         for cell, shard in enumerate(plan.cell_shards):
@@ -287,8 +317,9 @@ class TestHotspotCrowdBalance:
         mean = sum(per_shard) / len(per_shard)
         return max(per_shard) / mean
 
-    def test_tiles_meet_the_skew_bound_where_bands_do_not(self):
+    def test_tiles_meet_the_skew_bound_where_bands_do_not(self, band_partition):
         # 1.25 is the documented max/mean bound benchmarks/test_shard_gates.py
         # enforces
-        assert self._device_skew("tiles") <= 1.25
-        assert self._device_skew("bands") > 1.25
+        assert self._device_skew() <= 1.25
+        with band_partition():
+            assert self._device_skew() > 1.25
