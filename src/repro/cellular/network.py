@@ -29,8 +29,8 @@ def grid_cell_positions(
     """Cell-center positions of a ``cells_x × cells_y`` grid over an arena.
 
     Row-major with x fastest: cell index ``c`` sits at column
-    ``c % cells_x`` — the layout the sharded kernel's column-contiguous
-    partition relies on.
+    ``c % cells_x`` — the layout the sharded kernel's tile partition
+    relies on.
     """
     if cells_x < 1 or cells_y < 1:
         raise ValueError(f"need at least a 1x1 grid, got {cells_x}x{cells_y}")
@@ -39,6 +39,14 @@ def grid_cell_positions(
         for j in range(cells_y)
         for i in range(cells_x)
     ]
+
+
+def nearest_cell(cell_positions: Sequence[Position], position: Position) -> int:
+    """Index of the cell nearest ``position``; the first of equals wins."""
+    return min(
+        range(len(cell_positions)),
+        key=lambda c: distance_between(cell_positions[c], position),
+    )
 
 
 @dataclasses.dataclass
@@ -115,14 +123,13 @@ class CellularNetwork:
                 Cell(f"cell-{i}", (float(position[0]), float(position[1])),
                      basestation, ledger)
             )
+        self._cell_positions = [cell.position for cell in self.cells]
         self._attachment: Dict[str, Cell] = {}
 
     # ------------------------------------------------------------------
     def attach(self, device_id: str, position: Position) -> Cell:
         """Attach a device to its nearest cell (build-time attachment)."""
-        cell = min(
-            self.cells, key=lambda c: distance_between(c.position, position)
-        )
+        cell = self.cells[nearest_cell(self._cell_positions, position)]
         self._attachment[device_id] = cell
         return cell
 
@@ -135,9 +142,7 @@ class CellularNetwork:
         for rebinding the device's modem to the new cell's base station
         and ledger — this method only updates the attachment map.
         """
-        new_cell = min(
-            self.cells, key=lambda c: distance_between(c.position, position)
-        )
+        new_cell = self.cells[nearest_cell(self._cell_positions, position)]
         old_cell = self._attachment.get(device_id)
         self._attachment[device_id] = new_cell
         return new_cell, old_cell is not new_cell

@@ -669,13 +669,22 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
              "rate/hybrid need --channel sinr")
 
 
+def _shard_count(text: str) -> int:
+    """``--shards`` value: an integer of at least one."""
+    shards = int(text)
+    if shards < 1:
+        raise argparse.ArgumentTypeError(f"need at least one shard, got {shards}")
+    return shards
+
+
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     """Cell-sharded kernel flags shared by crowd and sweep subcommands."""
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run crowds on the cell-sharded kernel with N shards "
-             "(N > 1; serving cells are packed into load-balanced "
-             "rectangular tiles, one per shard)")
+        "--shards", type=_shard_count, default=None, metavar="N",
+        help="run crowds on the cell-sharded kernel with N shards; "
+             "serving cells are packed into load-balanced rectangular "
+             "tiles, one per shard. N = 1 runs the unsharded kernel, "
+             "which gives the same result as one shard")
     parser.add_argument(
         "--shard-backend", default=None, choices=["serial", "process"],
         help="sharded execution: all shards in-process ('serial', the "

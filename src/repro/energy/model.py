@@ -8,16 +8,13 @@ current traces can be synthesized.
 
 The hot path is aggregate-only by design: ``charge`` adds into a flat
 per-phase slot array (one dict lookup + one float add), and the per-charge
-log exists only behind :attr:`EnergyModel.keep_log` — optionally bounded by
-:attr:`EnergyModel.log_maxlen` as a ring buffer so city-scale soak runs
-cannot let trace memory grow without bound. ``breakdown()``/``snapshot()``
-always stay exact: they read the aggregates, never the log.
+log exists only behind :attr:`EnergyModel.keep_log`. ``breakdown()``/
+``snapshot()`` read the aggregates, never the log.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -81,11 +78,6 @@ class EnergyModel:
     on_charge:
         Optional hook ``(time_s, phase, uah, duration_s)`` — used by
         :class:`~repro.energy.power_monitor.PowerMonitor`.
-    log_maxlen:
-        When set, the per-charge log (only kept while :attr:`keep_log` is
-        true) becomes a ring buffer of at most this many records; older
-        records are evicted and counted in :attr:`log_dropped`. ``None``
-        keeps the legacy unbounded log.
     """
 
     def __init__(
@@ -93,7 +85,6 @@ class EnergyModel:
         owner: str = "",
         battery: Optional["Battery"] = None,
         on_charge: Optional[Callable[[float, EnergyPhase, float, float], None]] = None,
-        log_maxlen: Optional[int] = None,
     ) -> None:
         self.owner = owner
         self.battery = battery
@@ -102,12 +93,7 @@ class EnergyModel:
         # path — no per-charge allocation, no growing structures
         self._totals: List[float] = [0.0] * _N_SLOTS
         self.keep_log = False
-        #: per-charge records evicted by the ring buffer (bounded-log mode)
-        self.log_dropped = 0
-        self._log_maxlen = log_maxlen
-        self._log: "deque[Tuple[float, EnergyPhase, float]]" = deque(
-            maxlen=log_maxlen
-        )
+        self._log: List[Tuple[float, EnergyPhase, float]] = []
 
     # ------------------------------------------------------------------
     # charging
@@ -126,10 +112,7 @@ class EnergyModel:
             return
         self._totals[_SLOT[phase]] += uah
         if self.keep_log:
-            log = self._log
-            if log.maxlen is not None and len(log) == log.maxlen:
-                self.log_dropped += 1
-            log.append((time_s, phase, uah))
+            self._log.append((time_s, phase, uah))
         if self.battery is not None:
             self.battery.drain_uah(uah)
         if self.on_charge is not None:
@@ -164,30 +147,8 @@ class EnergyModel:
         totals = self._totals
         return {phase.value: totals[i] for i, phase in enumerate(_PHASES)}
 
-    @property
-    def log_maxlen(self) -> Optional[int]:
-        """Ring-buffer bound for the per-charge log (``None`` = unbounded)."""
-        return self._log_maxlen
-
-    @log_maxlen.setter
-    def log_maxlen(self, maxlen: Optional[int]) -> None:
-        if maxlen is not None and maxlen < 1:
-            raise ValueError(f"log_maxlen must be >= 1 or None, got {maxlen}")
-        if maxlen == self._log_maxlen:
-            return
-        self._log_maxlen = maxlen
-        kept = deque(self._log, maxlen=maxlen)
-        self.log_dropped += len(self._log) - len(kept)
-        self._log = kept
-
     def log(self) -> List[Tuple[float, EnergyPhase, float]]:
-        """The charge log (only populated when :attr:`keep_log` is set).
-
-        In bounded mode this is the *most recent* ``log_maxlen`` records;
-        :attr:`log_dropped` counts what the ring buffer evicted. Aggregates
-        (:meth:`breakdown`, :meth:`snapshot`, the totals) are always exact
-        regardless of eviction.
-        """
+        """The charge log (only populated when :attr:`keep_log` is set)."""
         return list(self._log)
 
     def snapshot(self) -> Dict[EnergyPhase, float]:
@@ -201,7 +162,6 @@ class EnergyModel:
         """Zero all counters (battery state is left untouched)."""
         self._totals = [0.0] * _N_SLOTS
         self._log.clear()
-        self.log_dropped = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EnergyModel(owner={self.owner!r}, total={self.total_uah:.2f}uAh)"

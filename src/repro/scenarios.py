@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.baseline.original import OriginalSystem
 from repro.cellular.basestation import BaseStation
@@ -40,7 +40,7 @@ from repro.device import Role, Smartphone
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.metrics import FaultMetrics, RunMetrics, collect_metrics
 from repro.mobility.models import MobilityModel, StaticMobility, place_crowd
-from repro.mobility.space import Arena
+from repro.mobility.space import Arena, Position
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.workload.apps import AppProfile, STANDARD_APP
@@ -604,7 +604,11 @@ def crowd_metrics_runner(
     (:func:`repro.shard.run_crowd_scenario_sharded`) with
     ``shard_backend`` choosing serial or process execution; the sharded
     kernel rejects the channel, chaos and audit options it cannot honor.
+    ``shards=1`` runs the unsharded kernel, whose result one shard
+    reproduces exactly.
     """
+    if shards < 1:
+        raise ValueError(f"need at least one shard, got {shards}")
     if hotspots is None:
         hotspots = max(2, n_devices // 20)
     if shards > 1:
@@ -883,6 +887,88 @@ def crowd_layout(
     return CrowdLayout(mobilities, relay_indices, phases)
 
 
+#: ``attach(device_id, t0_position)`` -> the device's ``(ledger,
+#: basestation)``, or ``None`` when another shard owns the device.
+CellAttach = Callable[
+    [str, Position], Optional[Tuple[SignalingLedger, BaseStation]]
+]
+
+
+class CrowdDevices(NamedTuple):
+    """The devices :func:`build_crowd` made, and the system running them."""
+
+    devices: Dict[str, Smartphone]
+    relay_ids: List[str]
+    ue_ids: List[str]
+    framework: Optional[HeartbeatRelayFramework]
+    original: Optional[OriginalSystem]
+
+
+def build_crowd(
+    sim: Simulator,
+    layout: CrowdLayout,
+    attach: CellAttach,
+    medium: Optional[D2DMedium],
+    mode: str = "d2d",
+    app: AppProfile = STANDARD_APP,
+    capacity: int = 10,
+    match_config: Optional[MatchConfig] = None,
+    profile: EnergyProfile = DEFAULT_PROFILE,
+    rrc_profile: RrcProfile = WCDMA_PROFILE,
+) -> CrowdDevices:
+    """Turn a crowd layout into devices, in index order, for either kernel.
+
+    Builds the relay framework (``mode="d2d"``) or the original system,
+    then one :class:`Smartphone` per device that ``attach`` places in a
+    cell: ``relay-<i>`` for the layout's relays, ``dev-<i>`` for the
+    rest. Relays beat at phase 0, everyone else at their layout phase.
+    """
+    framework: Optional[HeartbeatRelayFramework] = None
+    original: Optional[OriginalSystem] = None
+    if mode == "d2d":
+        framework = HeartbeatRelayFramework(
+            [],
+            app=app,
+            config=FrameworkConfig(
+                scheduler=SchedulerConfig(capacity=capacity),
+                matching=match_config or MatchConfig(),
+            ),
+        )
+    else:
+        original = OriginalSystem([], app=app)
+    crowd = CrowdDevices({}, [], [], framework, original)
+    for i, (mobility, phase) in enumerate(zip(layout.mobilities, layout.phases)):
+        is_relay = i in layout.relay_indices and mode == "d2d"
+        device_id = f"{'relay' if is_relay else 'dev'}-{i}"
+        cell = attach(device_id, mobility.position(0.0))
+        if cell is None:
+            continue
+        ledger, basestation = cell
+        role = (
+            Role.RELAY
+            if is_relay
+            else (Role.UE if mode == "d2d" else Role.STANDALONE)
+        )
+        device = Smartphone(
+            sim,
+            device_id,
+            mobility=mobility,
+            role=role,
+            ledger=ledger,
+            basestation=basestation,
+            d2d_medium=medium,
+            profile=profile,
+            rrc_profile=rrc_profile,
+        )
+        crowd.devices[device_id] = device
+        (crowd.relay_ids if is_relay else crowd.ue_ids).append(device_id)
+        if framework is not None:
+            framework.add_device(device, phase_fraction=0.0 if is_relay else phase)
+        else:
+            original.add_device(device, phase_fraction=phase)
+    return crowd
+
+
 def run_crowd_scenario(
     n_devices: int = 40,
     relay_fraction: float = 0.2,
@@ -920,7 +1006,8 @@ def run_crowd_scenario(
     ``relay_fraction`` of devices volunteer as relays; the rest are UEs
     (or everything standalone in ``mode="original"``). Placement, relay
     choice (``relay_selection``) and phases come from
-    :func:`crowd_layout`, the builder the sharded kernel shares.
+    :func:`crowd_layout`, the devices from :func:`build_crowd`; the
+    sharded kernel builds its shards with the same two functions.
     """
     if mode not in ("d2d", "original"):
         raise ValueError(f"mode must be 'd2d' or 'original', got {mode!r}")
@@ -946,51 +1033,19 @@ def run_crowd_scenario(
         num_rbs=num_rbs,
         shadowing_sigma_db=shadowing_sigma_db,
     )
-    devices: Dict[str, Smartphone] = {}
-    relay_ids: List[str] = []
-    ue_ids: List[str] = []
-    framework: Optional[HeartbeatRelayFramework] = None
-    original: Optional[OriginalSystem] = None
-    if mode == "d2d":
-        framework = HeartbeatRelayFramework(
-            [],
-            app=app,
-            config=FrameworkConfig(
-                scheduler=SchedulerConfig(capacity=capacity),
-                matching=match_config or MatchConfig(),
-            ),
-        )
-    else:
-        original = OriginalSystem([], app=app)
-
-    for i, (mobility, phase) in enumerate(zip(layout.mobilities, layout.phases)):
-        is_relay = i in layout.relay_indices and mode == "d2d"
-        role = (
-            Role.RELAY
-            if is_relay
-            else (Role.UE if mode == "d2d" else Role.STANDALONE)
-        )
-        device = Smartphone(
-            context.sim,
-            f"{'relay' if is_relay else 'dev'}-{i}",
-            mobility=mobility,
-            role=role,
-            ledger=context.ledger,
-            basestation=context.basestation,
-            d2d_medium=context.medium,
-            profile=profile,
-            rrc_profile=rrc_profile,
-        )
-        devices[device.device_id] = device
-        if is_relay:
-            relay_ids.append(device.device_id)
-        else:
-            ue_ids.append(device.device_id)
-        if framework is not None:
-            framework.add_device(device, phase_fraction=phase if not is_relay else 0.0)
-        else:
-            assert original is not None
-            original.add_device(device, phase_fraction=phase)
+    crowd = build_crowd(
+        context.sim,
+        layout,
+        lambda _device_id, _position: (context.ledger, context.basestation),
+        context.medium,
+        mode=mode,
+        app=app,
+        capacity=capacity,
+        match_config=match_config,
+        profile=profile,
+        rrc_profile=rrc_profile,
+    )
+    devices, framework, original = crowd.devices, crowd.framework, crowd.original
 
     auditor, engine = _attach_faults(
         context, devices, framework, original, chaos, chaos_seed, audit, seed
@@ -1018,8 +1073,8 @@ def run_crowd_scenario(
         context=context,
         metrics=metrics,
         devices=devices,
-        relay_ids=relay_ids,
-        ue_ids=ue_ids,
+        relay_ids=crowd.relay_ids,
+        ue_ids=crowd.ue_ids,
         framework=framework,
         original=original,
         app=app,

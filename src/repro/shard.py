@@ -26,29 +26,34 @@ window boundary every shard
 The parent gathers all reports (a barrier), routes them by the shard
 plan, and hands each shard its ghost list for the next window. Ghosts are
 discovery-visible only: they advertise ``capacity_remaining: 0`` so the
-relay matcher always rejects them, and their mobility reports an unknown
-max speed so the spatial index treats them as unindexable exact-check
-endpoints (the same churn path real unindexable devices take).
+relay matcher always rejects them, and they stand still
+(:class:`~repro.mobility.models.StaticMobility`) until the next window's
+diff re-registers a moved device's ghost, so the spatial index treats
+them as indexable statics.
 
 Determinism contract
 --------------------
-A sharded run is **not** byte-identical to the unsharded
-:func:`~repro.scenarios.run_crowd_scenario` — each shard draws from its
-own ``child_seed(seed, "shard:i")`` RNG streams, and border discovery
-sees frozen ghosts instead of live peers. What is pinned, and what the
-determinism guard asserts, is
+What the determinism guard asserts:
 
+- one shard is the unsharded run: shard 0's simulator draws the master
+  seed's stream, so ``run_crowd_scenario_sharded(shards=1)`` reproduces
+  :func:`~repro.scenarios.run_crowd_scenario`'s
+  :meth:`~repro.metrics.RunMetrics.to_comparable_dict` byte for byte —
+  the shard layer's exact oracle;
 - ``serial`` ≡ ``process``: the two backends execute the identical
-  window protocol in the identical order, so their merged
-  :meth:`~repro.metrics.RunMetrics.to_comparable_dict` match byte for
-  byte, and
+  window protocol in the identical order, so their merged metrics match
+  byte for byte;
 - replay: the same ``(params, seed)`` always reproduces the same merged
   metrics, whichever backend ran it.
 
+With several shards the run is not the unsharded one: shard ``i ≥ 1``
+draws its own ``child_seed(seed, "shard:i")`` stream, and border
+discovery sees frozen ghosts instead of live peers.
+
 Every shard reads the full crowd layout (placement, roles, phases) from
-:func:`repro.scenarios.crowd_layout`, the builder the unsharded kernel
-uses, then instantiates only its own devices — no layout data ever needs
-to cross a process boundary.
+:func:`repro.scenarios.crowd_layout` and builds its own devices with
+:func:`repro.scenarios.build_crowd`, the two functions the unsharded
+kernel uses — no layout data ever needs to cross a process boundary.
 """
 
 from __future__ import annotations
@@ -60,20 +65,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.cellular.network import CellularNetwork, grid_cell_positions
-from repro.cellular.rrc import WCDMA_PROFILE
-from repro.core.framework import FrameworkConfig, HeartbeatRelayFramework
-from repro.core.matching import MatchConfig
-from repro.core.scheduler import SchedulerConfig
+from repro.cellular.network import CellularNetwork, grid_cell_positions, nearest_cell
 from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
-from repro.device import Role, Smartphone
 from repro.energy.model import EnergyModel
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.metrics import DeliveryMetrics, RunMetrics, collect_metrics
-from repro.mobility.models import MobilityModel
+from repro.mobility.models import StaticMobility
 from repro.mobility.space import Arena, Position, distance_between
-from repro.scenarios import DEFAULT_DRAIN_S, CrowdLayout, crowd_layout
+from repro.scenarios import DEFAULT_DRAIN_S, CrowdLayout, build_crowd, crowd_layout
 from repro.sim.engine import Simulator
 from repro.sim.rng import child_seed
 from repro.workload.apps import STANDARD_APP
@@ -226,16 +226,9 @@ class ShardPlan:
         for position, shard in zip(self.cell_positions, self.cell_shards):
             self._shard_cells[shard].append(position)
 
-    def nearest_cell(self, position: Position) -> int:
-        positions = self.cell_positions
-        return min(
-            range(len(positions)),
-            key=lambda c: distance_between(positions[c], position),
-        )
-
     def shard_of_position(self, position: Position) -> int:
         """Home shard of a device standing at ``position``."""
-        return self.cell_shards[self.nearest_cell(position)]
+        return self.cell_shards[nearest_cell(self.cell_positions, position)]
 
     def border_shards(
         self, position: Position, own_shard: int, margin_m: float
@@ -327,36 +320,6 @@ class CrowdShardParams:
         )
 
 
-class GhostMobility(MobilityModel):
-    """Frozen-position snapshot of a foreign-shard device.
-
-    Reports ``max_speed_m_s() -> 0.0``: the *real* device does move
-    between sync windows, but a ghost's position is a constant for as
-    long as it is registered — :meth:`_ShardState.apply_ghosts`
-    unregisters a moved device's ghost and registers a fresh snapshot at
-    the new position, so the spatial index never sees a stale cell. That
-    makes ghosts fully indexable static endpoints; treating them as
-    unindexable (the pre-tile behavior) put every ghost into every scan's
-    exact-check set, which punished exactly the partitions whose borders
-    cross dense cells — the ghost-heavy ones a load-balanced plan picks.
-    """
-
-    def __init__(self, position: Position) -> None:
-        self._position = (float(position[0]), float(position[1]))
-
-    def position(self, t: float) -> Position:
-        return self._position
-
-    def velocity(self, t: float) -> Tuple[float, float]:
-        return (0.0, 0.0)
-
-    def max_speed_m_s(self) -> float:
-        return 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"GhostMobility({self._position})"
-
-
 # ----------------------------------------------------------------------
 # per-shard world
 # ----------------------------------------------------------------------
@@ -379,7 +342,12 @@ class _ShardState:
         self.params = params
         layout = params.layout()
         self.plan = params.plan(layout)
-        self.sim = Simulator(seed=child_seed(params.seed, f"shard:{shard_index}"))
+        # shard 0 draws the unsharded run's stream, so one shard is the
+        # unsharded run; every other shard gets a stream of its own
+        self.sim = Simulator(
+            seed=params.seed if shard_index == 0
+            else child_seed(params.seed, f"shard:{shard_index}")
+        )
         self.network = CellularNetwork(self.sim, self.plan.cell_positions)
         self.server = IMServer(self.sim)
         self.network.attach_sink_everywhere(self.server.uplink_sink)
@@ -390,43 +358,19 @@ class _ShardState:
             app = dataclasses.replace(
                 app, heartbeat_period_s=params.heartbeat_period_s
             )
-        self.app = app
-        self.framework = HeartbeatRelayFramework(
-            [],
-            app=app,
-            config=FrameworkConfig(
-                scheduler=SchedulerConfig(capacity=params.capacity),
-                matching=MatchConfig(),
-            ),
+
+        def attach(device_id: str, position: Position):
+            if self.plan.shard_of_position(position) != shard_index:
+                return None
+            cell = self.network.attach(device_id, position)
+            return cell.ledger, cell.basestation
+
+        crowd = build_crowd(
+            self.sim, layout, attach, self.medium, app=app,
+            capacity=params.capacity,
         )
-        self.devices: Dict[str, Smartphone] = {}
-        self.relay_ids: List[str] = []
-        for i, (mobility, phase) in enumerate(
-            zip(layout.mobilities, layout.phases)
-        ):
-            pos0 = mobility.position(0.0)
-            if self.plan.shard_of_position(pos0) != shard_index:
-                continue
-            is_relay = i in layout.relay_indices
-            device_id = f"{'relay' if is_relay else 'dev'}-{i}"
-            cell = self.network.attach(device_id, pos0)
-            device = Smartphone(
-                self.sim,
-                device_id,
-                mobility=mobility,
-                role=Role.RELAY if is_relay else Role.UE,
-                ledger=cell.ledger,
-                basestation=cell.basestation,
-                d2d_medium=self.medium,
-                profile=DEFAULT_PROFILE,
-                rrc_profile=WCDMA_PROFILE,
-            )
-            self.devices[device_id] = device
-            if is_relay:
-                self.relay_ids.append(device_id)
-            self.framework.add_device(
-                device, phase_fraction=0.0 if is_relay else phase
-            )
+        self.devices = crowd.devices
+        self.framework = crowd.framework
 
         self.handovers = 0
         self.ghost_registrations = 0
@@ -496,7 +440,7 @@ class _ShardState:
             entry = incoming[ghost_id]
             endpoint = D2DEndpoint(
                 ghost_id,
-                GhostMobility((entry[1], entry[2])),
+                StaticMobility((entry[1], entry[2])),
                 energy=EnergyModel(owner=ghost_id),
                 # capacity_remaining 0 → the relay matcher always rejects
                 # a ghost, so no cross-shard session can form mid-window

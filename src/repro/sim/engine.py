@@ -190,27 +190,6 @@ class Simulator:
             self._running = False
         return self._fired - fired_before
 
-    def run_all(self, max_events: int = 10_000_000) -> int:
-        """Fire every queued event regardless of horizon (tests/tools)."""
-        fired_before = self._fired
-        pop = self.queue.pop
-        advance_to = self.clock.advance_to
-        limit = fired_before + max_events
-        while not self._stop_requested:
-            event = pop()
-            if event is None:
-                break
-            if self._fired >= limit:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; runaway schedule?"
-                )
-            advance_to(event.time)
-            self._fired += 1
-            if self.trace:
-                self.event_log.append((event.time, event.name))
-            event.callback(*event.args)
-        return self._fired - fired_before
-
 
 class PeriodicProcess:
     """Handle for a repeating callback created by :meth:`Simulator.every`."""

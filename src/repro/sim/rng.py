@@ -49,11 +49,12 @@ def child_seed(master_seed: int, label: str) -> int:
     """Derive a stable 64-bit child seed for a named subcomponent.
 
     Used where one experiment seed must fan out into several independent
-    simulators — e.g. the sharded kernel seeds shard ``i``'s
+    simulators — e.g. the sharded kernel seeds shard ``i ≥ 1``'s
     :class:`~repro.sim.engine.Simulator` with
-    ``child_seed(seed, f"shard:{i}")``. Like :func:`spawn`, the result
-    depends only on the inputs (BLAKE2b; stable across interpreter runs
-    and ``PYTHONHASHSEED``), never on process layout, so serial and
+    ``child_seed(seed, f"shard:{i}")`` (shard 0 takes the master seed
+    itself, so one shard is the unsharded run). Like :func:`spawn`, the
+    result depends only on the inputs (BLAKE2b; stable across interpreter
+    runs and ``PYTHONHASHSEED``), never on process layout, so serial and
     multi-process shard backends draw identical randomness.
     """
     return _derive_seed(int(master_seed), f"child:{label}")

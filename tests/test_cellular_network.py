@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cellular.network import CellularNetwork, CombinedLedger
+from repro.cellular.network import CellularNetwork, CombinedLedger, nearest_cell
 from repro.cellular.signaling import Direction, L3MessageType, SignalingLedger
 from repro.core.framework import HeartbeatRelayFramework
 from repro.d2d.base import D2DMedium
@@ -22,6 +22,14 @@ class TestAttachment:
         assert network.attach("a", (10.0, 0.0)).cell_id == "cell-0"
         assert network.attach("b", (90.0, 0.0)).cell_id == "cell-1"
         assert network.cell_of("a").cell_id == "cell-0"
+
+    def test_first_of_equidistant_cells_wins(self, sim):
+        # one rule for build-time attachment, handover and the shard plan
+        cells = [(0.0, 0.0), (100.0, 0.0)]
+        assert nearest_cell(cells, (50.0, 0.0)) == 0
+        network = CellularNetwork(sim, cells)
+        assert network.attach("a", (50.0, 0.0)).cell_id == "cell-0"
+        assert network.reattach("a", (50.0, 0.0)) == (network.cells[0], False)
 
     def test_unattached_lookup_raises(self, sim):
         network = CellularNetwork(sim, [(0.0, 0.0)])

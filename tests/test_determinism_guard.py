@@ -13,6 +13,8 @@ lease re-resolved on every transfer.
 
 import dataclasses
 
+import pytest
+
 from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel
@@ -251,11 +253,83 @@ class TestLinkSupervisionIdentity:
         assert fast.metrics.delivery.received > 0
 
 
-class TestShardedKernelIdentity:
-    """The cell-sharded kernel's determinism contract.
+def _storm_hook(scan_period_s):
+    """``pre_run`` twin of the shards' ``storm_scan_period_s``."""
 
-    Sharded runs are a documented equivalence class of their own (per-
-    shard RNG streams, frozen border ghosts), so the guard pins what the
+    def pre_run(context, devices):
+        medium, sim = context.medium, context.sim
+        for device_id in devices:
+            endpoint = medium.endpoint(device_id)
+            endpoint.advertising = True
+            endpoint.advertisement.setdefault("storm", 1)
+
+            def tick(did=device_id):
+                if medium.endpoint(did).powered_on:
+                    medium.discover(did, lambda peers: None)
+
+            sim.every(scan_period_s, tick, name=f"storm-{device_id}")
+
+    return pre_run
+
+
+class TestOneShardIsUnsharded:
+    """A one-shard run reproduces the unsharded run byte for byte.
+
+    Shard 0 draws the master seed's stream and both kernels build their
+    devices with ``repro.scenarios.build_crowd``; the one shard's
+    multi-cell network, handovers and windowed stepping must not change
+    a single metric. This is the shard layer's exact oracle.
+    """
+
+    CROWD = dict(
+        n_devices=80, relay_fraction=0.25, duration_s=300.0,
+        arena=Arena(200.0, 120.0), hotspots=6, seed=3,
+    )
+
+    def _assert_identical(self, unsharded=(), sharded=(), **kwargs):
+        """Run both kernels on one crowd; ``unsharded``/``sharded`` hold
+        the kernel-specific spellings of the same option."""
+        crowd = {**self.CROWD, **kwargs}
+        one_kernel = run_crowd_scenario(**crowd, **dict(unsharded))
+        one_shard = run_crowd_scenario_sharded(shards=1, **crowd, **dict(sharded))
+        assert (
+            one_shard.metrics.to_comparable_dict()
+            == one_kernel.metrics.to_comparable_dict()
+        ), "one shard diverged from the unsharded run"
+        assert one_shard.metrics.delivery.relayed > 0
+        return one_shard
+
+    @pytest.mark.parametrize("relay_selection", ["roundrobin", "greedy", "random"])
+    def test_every_relay_selection(self, relay_selection):
+        self._assert_identical(relay_selection=relay_selection)
+
+    def test_movers_hand_over(self):
+        one_shard = self._assert_identical(mobile_fraction=0.3)
+        assert one_shard.handovers > 0, "no mover crossed a cell border"
+
+    def test_storm_hook(self):
+        self._assert_identical(
+            unsharded={"pre_run": _storm_hook(10.0)},
+            sharded={"storm_scan_period_s": 10.0},
+        )
+
+    def test_heartbeat_period_override(self):
+        self._assert_identical(
+            unsharded={
+                "app": dataclasses.replace(STANDARD_APP, heartbeat_period_s=45.0)
+            },
+            sharded={"heartbeat_period_s": 45.0},
+            relay_selection="random",
+        )
+
+
+class TestShardedKernelIdentity:
+    """The cell-sharded kernel's determinism contract across shards.
+
+    With one shard the sharded kernel is the unsharded run
+    (:class:`TestOneShardIsUnsharded`). With several, each shard past
+    the first draws its own ``child_seed(seed, "shard:i")`` stream and
+    border discovery sees frozen ghosts, so the guard pins what the
     design promises: the serial and process backends are byte-identical,
     replay is byte-identical, and delivery is complete — every beat the
     unsharded kernel delivers, the sharded kernel delivers too, even
@@ -295,8 +369,8 @@ class TestShardedKernelIdentity:
     def test_sharded_delivery_matches_unsharded(self):
         # Same crowd, sharded vs single-kernel: the device population is
         # identical and no beat is lost to the partition — received and
-        # on-time counts match exactly (energy/RNG details legitimately
-        # differ; that's the documented equivalence class).
+        # on-time counts match exactly (energy and signaling may differ:
+        # shard 1 draws its own stream and ghosts freeze border positions).
         kwargs = dict(
             n_devices=60, relay_fraction=0.25, duration_s=120.0,
             hotspots=6, mobile_fraction=0.3, seed=3,

@@ -74,45 +74,3 @@ class TestHooksAndBattery:
         snap = energy.snapshot()
         snap[EnergyPhase.OTHER] = 999.0
         assert energy.phase_uah(EnergyPhase.OTHER) == pytest.approx(1.0)
-
-
-class TestBoundedLog:
-    """The ring-buffer mode that keeps soak-run traces from growing."""
-
-    def test_ring_buffer_evicts_oldest_and_counts_drops(self):
-        model = EnergyModel(log_maxlen=2)
-        model.keep_log = True
-        model.charge(EnergyPhase.OTHER, 1.0, time_s=1.0)
-        model.charge(EnergyPhase.OTHER, 2.0, time_s=2.0)
-        model.charge(EnergyPhase.OTHER, 3.0, time_s=3.0)
-        assert model.log() == [
-            (2.0, EnergyPhase.OTHER, 2.0),
-            (3.0, EnergyPhase.OTHER, 3.0),
-        ]
-        assert model.log_dropped == 1
-        # aggregates never go through the log: exact despite eviction
-        assert model.total_uah == pytest.approx(6.0)
-
-    def test_shrinking_maxlen_trims_oldest_and_counts(self):
-        model = EnergyModel()
-        model.keep_log = True
-        for t in range(4):
-            model.charge(EnergyPhase.OTHER, 1.0, time_s=float(t))
-        model.log_maxlen = 2
-        assert model.log_dropped == 2
-        assert [record[0] for record in model.log()] == [2.0, 3.0]
-
-    def test_maxlen_must_be_positive_or_none(self):
-        model = EnergyModel()
-        with pytest.raises(ValueError):
-            model.log_maxlen = 0
-
-    def test_reset_clears_the_drop_counter(self):
-        model = EnergyModel(log_maxlen=1)
-        model.keep_log = True
-        model.charge(EnergyPhase.OTHER, 1.0)
-        model.charge(EnergyPhase.OTHER, 1.0)
-        assert model.log_dropped == 1
-        model.reset()
-        assert model.log_dropped == 0
-        assert model.log() == []

@@ -8,7 +8,6 @@ from repro.mobility.space import Arena
 from repro.scenarios import crowd_metrics_runner, run_crowd_scenario
 from repro.shard import (
     CrowdShardParams,
-    GhostMobility,
     ShardPlan,
     _route_reports,
     _ShardState,
@@ -130,10 +129,11 @@ class TestGhostMobility:
         # device's ghost, so the frozen position really is constant. The
         # old None (exact-check every scan) made every border device a
         # per-scan tax on the receiving shard.
-        ghost = GhostMobility((3.0, 4.0))
-        assert ghost.max_speed_m_s() == 0.0
+        shard = _ShardState(0, CrowdShardParams(n_devices=4))
+        shard.apply_ghosts([("dev-99", 3.0, 4.0, "ue")])
+        ghost = shard.medium.endpoint("dev-99")
+        assert ghost.mobility.max_speed_m_s() == 0.0
         assert ghost.position(123.0) == (3.0, 4.0)
-        assert ghost.velocity(0.0) == (0.0, 0.0)
 
 
 class TestReattach:
@@ -179,6 +179,15 @@ class TestUnsupportedCombinations:
             run_crowd_scenario_sharded(backend="threads")
         with pytest.raises(ValueError):
             run_crowd_scenario_sharded(shards=0)
+
+    def test_rejects_shard_counts_below_one(self):
+        for bad in ("-3", "0"):
+            with pytest.raises(SystemExit) as err:
+                main(["crowd", "--devices", "20", "--duration", "120",
+                      "--shards", bad])
+            assert err.value.code == 2
+        with pytest.raises(ValueError, match="at least one shard"):
+            crowd_metrics_runner(n_devices=20, duration_s=120.0, shards=0)
 
     def test_error_lists_every_blocker_at_once(self):
         # a config with four bad knobs needs one round trip to fix, not four

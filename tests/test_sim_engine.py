@@ -119,12 +119,14 @@ class TestRunUntil:
         assert sim.now == 1.0
 
 
-class TestRunAll:
-    def test_drains_entire_queue_past_any_horizon(self, sim):
+class TestDrainToHorizon:
+    """A finite horizon past the last event drains the whole queue."""
+
+    def test_drains_entire_queue_before_a_far_horizon(self, sim):
         fired = []
         sim.schedule(5.0, lambda: fired.append(sim.now))
         sim.schedule(5000.0, lambda: fired.append(sim.now))
-        count = sim.run_all()
+        count = sim.run_until(10_000.0)
         assert count == 2
         assert fired == [5.0, 5000.0]
         assert sim.pending == 0
@@ -138,21 +140,20 @@ class TestRunAll:
                 sim.schedule(100.0, chain, depth + 1)
 
         sim.schedule(1.0, chain, 0)
-        sim.run_all()
+        sim.run_until(10_000.0)
         assert fired == [0, 1, 2, 3]
+        assert sim.pending == 0
 
     def test_max_events_guard(self, sim):
         def rearm():
             sim.schedule(1.0, rearm)
 
         sim.schedule(1.0, rearm)
-        import pytest as _pytest
-
-        with _pytest.raises(SimulationError):
-            sim.run_all(max_events=50)
+        with pytest.raises(SimulationError):
+            sim.run_until(10_000.0, max_events=50)
 
     def test_empty_queue_returns_zero(self, sim):
-        assert sim.run_all() == 0
+        assert sim.run_until(10_000.0) == 0
 
 
 class TestTrace:
