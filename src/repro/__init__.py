@@ -88,7 +88,6 @@ from repro.sweep import (
     SweepPoint,
     SweepResult,
     grid_sweep,
-    sweep_status,
 )
 from repro.experiments import (
     REGISTRY as EXPERIMENT_REGISTRY,
@@ -187,7 +186,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "grid_sweep",
-    "sweep_status",
     "spawn",
     "EXPERIMENT_REGISTRY",
     "run_experiment",

@@ -248,8 +248,27 @@ def _parse_param_grid(entries: Optional[List[str]]) -> Dict[str, List[object]]:
                 f"bad --param {entry!r}; expected key=v1,v2,... "
                 "with at least one value"
             )
+        if key.strip() in grid:
+            raise ValueError(
+                f"bad --param {entry!r}; axis {key.strip()!r} is already "
+                "given (list every value in one --param)"
+            )
         grid[key.strip()] = axis
     return grid
+
+
+def _parse_axis(flag: str, text: str, cast: type) -> List[object]:
+    """`grid --distances/--periods` value → a non-empty list of values."""
+    try:
+        axis = [cast(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        axis = []
+    if not axis:
+        raise ValueError(
+            f"bad {flag} {text!r}; expected comma-separated "
+            f"{cast.__name__} values"
+        )
+    return axis
 
 
 def _cmd_runner_sweep(args: argparse.Namespace) -> int:
@@ -302,7 +321,7 @@ def _cmd_runner_sweep(args: argparse.Namespace) -> int:
         sweep = grid_sweep(
             grid, runner,
             workers=args.workers, cache_dir=args.cache_dir,
-            backend=args.backend, max_retries=args.max_retries,
+            max_retries=args.max_retries,
             on_error="keep-going" if args.keep_going else "raise",
         )
     except SweepFailure as failure:
@@ -331,7 +350,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep = grid_sweep(
             {"periods": ks}, runner,
             workers=args.workers, cache_dir=args.cache_dir,
-            backend=args.backend, max_retries=args.max_retries,
+            max_retries=args.max_retries,
             on_error="keep-going" if args.keep_going else "raise",
         )
     except SweepFailure as failure:
@@ -352,8 +371,8 @@ def _print_sweep_errors(sweep) -> None:
     if not sweep.errors:
         return
     print(format_table(
-        ["point", "params", "attempts", "host", "error"],
-        [[e.index, str(dict(e.params)), e.attempts, e.host, e.error]
+        ["point", "params", "attempts", "error"],
+        [[e.index, str(dict(e.params)), e.attempts, e.error]
          for e in sweep.errors],
         title="FAILED points (kept going; cached points are resumable)",
     ))
@@ -364,7 +383,7 @@ def _print_sweep_failure(failure: SweepFailure) -> int:
     print(failure, file=sys.stderr)
     for error in failure.errors:
         print(f"  point {error.index} {dict(error.params)}: {error.error} "
-              f"(attempts {error.attempts}, host {error.host})",
+              f"(attempts {error.attempts})",
               file=sys.stderr)
     if failure.telemetry is not None:
         print(failure.telemetry.summary(), file=sys.stderr)
@@ -372,22 +391,23 @@ def _print_sweep_failure(failure: SweepFailure) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    if args.status is not None:
-        return _print_grid_status(args.status, args.claim_ttl)
     if args.runner is not None:
         return _cmd_runner_sweep(args)
 
     from repro.experiments import sensitivity_grid
 
-    distances = [float(v) for v in args.distances.split(",") if v]
-    periods = [int(v) for v in args.periods.split(",") if v]
+    try:
+        distances = _parse_axis("--distances", args.distances, float)
+        periods = _parse_axis("--periods", args.periods, int)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         sweep = sensitivity_grid(
             distances=distances, periods=periods, seed=args.seed,
             workers=args.workers, cache_dir=args.cache_dir,
-            backend=args.backend, max_retries=args.max_retries,
+            max_retries=args.max_retries,
             on_error="keep-going" if args.keep_going else "raise",
-            claim_ttl_s=args.claim_ttl,
         )
     except SweepFailure as failure:
         return _print_sweep_failure(failure)
@@ -409,37 +429,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         ))
     print(sweep.telemetry.summary())
     return 0 if sweep.ok else 1
-
-
-def _print_grid_status(cache_dir: str, claim_ttl_s: float) -> int:
-    """`grid --status DIR`: progress view of a distributed sweep in flight."""
-    from repro.sweep import sweep_status
-
-    try:
-        status = sweep_status(cache_dir, ttl_s=claim_ttl_s)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    for manifest in status.manifests:
-        print(f"grid: params={manifest.get('param_names')} "
-              f"total={manifest.get('total')} tag={manifest.get('tag')!r} "
-              f"started by {manifest.get('host')}")
-    if status.claims:
-        print(format_table(
-            ["point key", "host", "age (s)", "state"],
-            [[c.key[:12], c.host, f"{c.age_s:.1f}",
-              "STALE" if c.stale else "active"]
-             for c in status.claims],
-            title="claims in flight",
-        ))
-    if status.errors:
-        print(format_table(
-            ["point key", "host", "attempts", "error"],
-            [[e.key[:12], e.host, e.attempts, e.error] for e in status.errors],
-            title="failed points",
-        ))
-    print(status.summary())
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -716,16 +705,20 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
              "coerced to int/float where possible")
 
 
+def _retry_count(text: str) -> int:
+    """``--max-retries`` value: a non-negative integer."""
+    retries = int(text)
+    if retries < 0:
+        raise argparse.ArgumentTypeError(
+            f"need a retry count of at least 0, got {retries}"
+        )
+    return retries
+
+
 def _add_dispatch_flags(parser: argparse.ArgumentParser) -> None:
     """Shared execution-layer flags of the `sweep` and `grid` subcommands."""
     parser.add_argument(
-        "--backend", default=None,
-        choices=["serial", "process-pool", "shared-dir"],
-        help="execution backend (default: inferred from --workers; "
-             "shared-dir requires --cache-dir and may run concurrently "
-             "with other dispatchers on the same directory)")
-    parser.add_argument(
-        "--max-retries", type=int, default=0,
+        "--max-retries", type=_retry_count, default=0,
         help="extra attempts per point before it counts as failed")
     parser.add_argument(
         "--keep-going", action="store_true",
@@ -797,12 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shard_flags(grid)
     _add_chaos_flags(grid)
     _add_channel_flags(grid)
-    grid.add_argument("--status", metavar="CACHE_DIR", default=None,
-                      help="print the progress view of a (distributed) "
-                           "sweep's shared cache directory and exit")
-    grid.add_argument("--claim-ttl", type=float, default=120.0,
-                      help="seconds before an abandoned shared-dir claim "
-                           "may be stolen (also used by --status)")
     grid.set_defaults(func=_cmd_grid)
 
     chaos = sub.add_parser(

@@ -222,22 +222,18 @@ def sensitivity_grid(
     seed: int = 0,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    backend: Optional[str] = None,
     max_retries: int = 0,
     on_error: str = "raise",
-    claim_ttl_s: float = 120.0,
 ) -> SweepResult:
     """Saved-energy sensitivity over the (distance × periods) plane.
 
     The joint sweep behind ``benchmarks/test_sensitivity_grid.py``, run
     through the sweep execution layer: ``workers`` fans points out over a
     local process pool, ``cache_dir`` re-serves unchanged points from
-    disk, and ``backend="shared-dir"`` lets several dispatcher processes
-    (possibly on different hosts) drive this same grid concurrently
-    through one shared ``cache_dir``. ``max_retries``/``on_error`` are
-    the fault-tolerance knobs of :func:`repro.sweep.grid_sweep`. Returns
-    the full :class:`~repro.sweep.SweepResult` (telemetry attached) so
-    callers can pivot, slice, or inspect timings.
+    disk, and ``max_retries``/``on_error`` are the fault-tolerance knobs
+    of :func:`repro.sweep.grid_sweep`. Returns the full
+    :class:`~repro.sweep.SweepResult` (telemetry attached) so callers
+    can pivot, slice, or inspect timings.
     """
     runner = functools.partial(relay_savings_runner, n_ues=1, seed=seed)
     return grid_sweep(
@@ -245,10 +241,8 @@ def sensitivity_grid(
         runner,
         workers=workers,
         cache_dir=cache_dir,
-        backend=backend,
         max_retries=max_retries,
         on_error=on_error,
-        claim_ttl_s=claim_ttl_s,
     )
 
 

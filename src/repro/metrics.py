@@ -12,27 +12,11 @@ records, so a sweep's speedup is observable rather than asserted.
 from __future__ import annotations
 
 import dataclasses
-import os
-import socket
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.cellular.signaling import SignalingLedger
 from repro.device import Role, Smartphone
 from repro.workload.server import IMServer
-
-
-def default_host_id() -> str:
-    """``hostname:pid`` identity of this dispatcher process.
-
-    Used to stamp sweep telemetry and shared-dir claim files so a
-    distributed sweep's progress view can attribute in-flight points to
-    the host (and process) working on them.
-    """
-    try:
-        hostname = socket.gethostname()
-    except OSError:  # pragma: no cover - exotic environments only
-        hostname = "unknown-host"
-    return f"{hostname}:{os.getpid()}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,12 +268,9 @@ class SweepTelemetry:
     time. ``busy_seconds() / wall_seconds`` is the achieved parallel
     speedup; for a serial sweep it is ~1.
 
-    Fault-tolerance and multi-host counters: ``retries`` (extra runner
-    attempts beyond the first, summed over points), ``errors`` (points
-    that exhausted their attempts), ``claim_contention`` / ``claims_stolen``
-    (shared-dir dispatch: points found claimed by another dispatcher /
-    stale claims taken over), and ``host`` (the ``hostname:pid`` identity
-    of the dispatcher that recorded this telemetry).
+    Fault-tolerance counters: ``retries`` (extra runner attempts beyond
+    the first, summed over points) and ``errors`` (points that exhausted
+    their attempts).
 
     Cache counters only move when a cache is attached to the sweep: the
     executor passes ``cached=None`` for points computed without a cache,
@@ -302,19 +283,15 @@ class SweepTelemetry:
         total: int,
         mode: str = "serial",
         workers: int = 0,
-        host: Optional[str] = None,
     ) -> None:
         self.total = int(total)
         self.mode = mode
         self.workers = int(workers)
-        self.host = host if host is not None else default_host_id()
         self.timings: List[SweepPointTiming] = []
         self.cache_hits = 0
         self.cache_misses = 0
         self.retries = 0
         self.errors = 0
-        self.claim_contention = 0
-        self.claims_stolen = 0
         self.wall_seconds = 0.0
 
     @property
@@ -388,13 +365,10 @@ class SweepTelemetry:
             "completed": self.completed,
             "mode": self.mode,
             "workers": self.workers,
-            "host": self.host,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "retries": self.retries,
             "errors": self.errors,
-            "claim_contention": self.claim_contention,
-            "claims_stolen": self.claims_stolen,
             "wall_seconds": self.wall_seconds,
             "busy_seconds": self.busy_seconds(),
             "timings": [dataclasses.asdict(t) for t in self.timings],
@@ -412,11 +386,6 @@ class SweepTelemetry:
             line += f" cache {self.cache_hits} hit / {self.cache_misses} miss"
         if self.errors or self.retries:
             line += f" errors {self.errors} retries {self.retries}"
-        if self.claim_contention or self.claims_stolen:
-            line += (
-                f" contention {self.claim_contention}"
-                f" stolen {self.claims_stolen}"
-            )
         return line
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -801,10 +801,9 @@ def paging_storm_runner(
     )
 
 
-#: Name → picklable grid runner. Multi-host dispatch (``repro.sweep``'s
-#: shared-dir backend) needs every dispatcher process to construct the
-#: *same* runner from a plain string it can pass on the command line;
-#: this registry is that lookup table.
+#: Name → picklable grid runner: ``repro-sim sweep``/``grid --runner NAME``
+#: look the runner up here, so a command line can pick any of them by a
+#: plain string.
 RUNNER_REGISTRY: Dict[str, Callable[..., Dict[str, float]]] = {
     "relay-savings": relay_savings_runner,
     "crowd-metrics": crowd_metrics_runner,

@@ -1,4 +1,4 @@
-"""Parameter-sweep utilities: grids, pluggable executors, a result cache.
+"""Parameter-sweep utilities: grids, one executor, a result cache.
 
 Define a grid of named parameters and a runner mapping one parameter
 combination to a dict of metrics, and get a :class:`SweepResult` that can
@@ -10,18 +10,15 @@ slice, tabulate, and pivot:
     )
     sweep.pivot("distance_m", "periods", "saved")
 
-Execution runs through a pluggable :class:`SweepBackend` — ``serial``
-(the default, and the fallback when ``workers <= 1``), ``process-pool``
-(a local ``ProcessPoolExecutor`` fan-out via the ``workers=`` knob), or
-``shared-dir`` (N independent dispatcher processes, possibly on
-different hosts, claiming points through atomic claim files next to a
-shared cache directory). Four guarantees make every path safe to adopt:
+``workers`` picks how pending points run: the inline loop for
+``workers`` below 2 (the default), a local ``ProcessPoolExecutor`` of
+that size from 2 up. Four guarantees make both paths safe to adopt:
 
 - **Determinism.** With ``base_seed=`` set, every point's runner receives
   ``seed=spawn(base_seed, point_index)`` (:func:`repro.sim.rng.spawn`),
-  which depends only on the point's position in the grid — so serial,
-  process-pool, and shared-dir sweeps produce identical
-  :class:`SweepPoint` lists, point for point, on every host.
+  which depends only on the point's position in the grid — so serial
+  and process-pool sweeps produce identical :class:`SweepPoint` lists,
+  point for point.
 - **Caching.** With ``cache=``/``cache_dir=`` set, finished points are
   stored on disk keyed by (params hash, seed, code-version tag) — see
   :class:`SweepCache` — so re-running a grid only computes changed points,
@@ -32,39 +29,17 @@ shared cache directory). Four guarantees make every path safe to adopt:
   structured :class:`SweepError` list (``on_error="keep-going"``) or a
   post-hoc :class:`SweepFailure` (strict mode, the default).
 - **Observability.** Every sweep records per-point wall-clock timings,
-  attempts, retry/error and claim-contention counters, and the
-  dispatcher's host identity in a
+  attempts, and retry/error counters in a
   :class:`repro.metrics.SweepTelemetry`, attached as
-  ``SweepResult.telemetry``; :func:`sweep_status` renders the same view
-  for a distributed sweep in flight (``repro-sim grid --status DIR``).
+  ``SweepResult.telemetry``.
 
 Parallel runners must be picklable: module-level functions (or
 ``functools.partial`` over them), e.g. the canned runners in
 :mod:`repro.scenarios`. Closures and lambdas only work serially.
 """
 
-from repro.sweep.backends import (
-    PointJob,
-    PointOutcome,
-    PointSink,
-    ProcessPoolBackend,
-    RetryPolicy,
-    SerialBackend,
-    SharedDirBackend,
-    SweepBackend,
-    execute_point,
-    resolve_backend,
-)
 from repro.sweep.cache import CODE_VERSION_TAG, SweepCache
-from repro.sweep.claims import (
-    DEFAULT_CLAIM_TTL_S,
-    ClaimInfo,
-    ClaimStore,
-    ErrorInfo,
-    SweepStatus,
-    sweep_status,
-)
-from repro.sweep.grid import grid_sweep
+from repro.sweep.grid import PointOutcome, RetryPolicy, execute_point, grid_sweep
 from repro.sweep.result import (
     SweepError,
     SweepFailure,
@@ -74,26 +49,13 @@ from repro.sweep.result import (
 
 __all__ = [
     "CODE_VERSION_TAG",
-    "DEFAULT_CLAIM_TTL_S",
-    "ClaimInfo",
-    "ClaimStore",
-    "ErrorInfo",
-    "PointJob",
     "PointOutcome",
-    "PointSink",
-    "ProcessPoolBackend",
     "RetryPolicy",
-    "SerialBackend",
-    "SharedDirBackend",
-    "SweepBackend",
     "SweepCache",
     "SweepError",
     "SweepFailure",
     "SweepPoint",
     "SweepResult",
-    "SweepStatus",
     "execute_point",
     "grid_sweep",
-    "resolve_backend",
-    "sweep_status",
 ]

@@ -1,11 +1,9 @@
 """On-disk cache of finished sweep points.
 
 The cache key covers every parameter value, the point's seed, and a
-code-version tag — it identifies a point *globally*, so a cache directory
-shared between machines doubles as the result-exchange substrate of the
-``shared-dir`` dispatch backend (:mod:`repro.sweep.backends`): any
-dispatcher that computes a point publishes it here, and every other
-dispatcher serves it from disk instead of recomputing.
+code-version tag, so a re-run of a grid serves every unchanged point
+from disk and an interrupted sweep resumes from what it already
+finished.
 """
 
 from __future__ import annotations
@@ -33,9 +31,7 @@ class SweepCache:
 
     Entries store the params and metrics as JSON, written atomically
     (tmp file + ``os.replace``) so a killed sweep never leaves a
-    half-written entry behind. Claim files of the shared-dir dispatch
-    backend live next to the entries (``<key>.claim`` / ``<key>.error``)
-    and are never mistaken for results.
+    half-written entry behind.
     """
 
     def __init__(self, root: str, version_tag: str = CODE_VERSION_TAG) -> None:
@@ -63,29 +59,14 @@ class SweepCache:
         self, params: Mapping[str, Any], seed: Optional[int] = None
     ) -> Optional[Dict[str, float]]:
         """Stored metrics for ``(params, seed)``, or ``None`` on a miss."""
-        metrics = self.peek(params, seed)
-        if metrics is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return metrics
-
-    def peek(
-        self, params: Mapping[str, Any], seed: Optional[int] = None
-    ) -> Optional[Dict[str, float]]:
-        """Like :meth:`get` but without moving the hit/miss counters.
-
-        The shared-dir dispatcher polls the cache while waiting for
-        points claimed by other hosts; those polls are not lookups the
-        sweep requested, so they must not distort the counters the
-        telemetry reconciles against.
-        """
         path = self.path_for(params, seed)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
         except (FileNotFoundError, json.JSONDecodeError):
+            self.misses += 1
             return None
+        self.hits += 1
         return dict(entry["metrics"])
 
     def put(

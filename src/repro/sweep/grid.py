@@ -1,33 +1,146 @@
 """The grid-sweep executor: combos, seeds, cache precheck, dispatch.
 
-``grid_sweep`` owns everything backend-independent — enumerating the
-grid in canonical order, deriving per-point seeds, serving cached points,
-booking telemetry, and assembling the :class:`SweepResult` — and hands
-the pending points to whichever :class:`~repro.sweep.backends.SweepBackend`
-was selected. Failures never abort the dispatch loop: every point reaches
-a terminal state, and strict mode raises :class:`SweepFailure` only after
-the fact (with every completed point already in the cache).
+``grid_sweep`` enumerates the grid in canonical order, derives per-point
+seeds, serves cached points, runs the rest, books telemetry and
+assembles the :class:`SweepResult`. ``workers`` picks one of two paths
+for the pending points: the inline loop (``workers`` below 2) or a
+``ProcessPoolExecutor`` of that size. Both run every point through
+:func:`execute_point` under one :class:`RetryPolicy`, and the executor
+books each outcome as it arrives. Failures never abort the dispatch
+loop: every point reaches a terminal state, and strict mode raises
+:class:`SweepFailure` only after the fact (with every completed point
+already in the cache).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import itertools
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+import traceback as traceback_module
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.metrics import SweepTelemetry
 from repro.sim.rng import spawn
-from repro.sweep.backends import (
-    PointJob,
-    PointOutcome,
-    PointSink,
-    RetryPolicy,
-    SweepBackend,
-    resolve_backend,
-)
 from repro.sweep.cache import CODE_VERSION_TAG, SweepCache
-from repro.sweep.claims import publish_manifest
 from repro.sweep.result import SweepError, SweepFailure, SweepPoint, SweepResult
+
+#: Runner signature: ``runner(**params[, seed=...]) -> {metric: value}``.
+Runner = Callable[..., Mapping[str, float]]
+
+
+@dataclasses.dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded per-point retry/backoff applied on both execution paths.
+
+    A point is attempted ``1 + max_retries`` times; attempt ``n`` waits
+    ``backoff_s * 2**(n-1)`` seconds first (wall clock — retries exist for
+    flaky infrastructure, not simulation time).
+    """
+
+    max_retries: int = 0
+    backoff_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_s < 0:
+            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+
+
+@dataclasses.dataclass(frozen=True)
+class PointOutcome:
+    """Terminal state of one point's execution: metrics or a captured error."""
+
+    metrics: Optional[Dict[str, float]]
+    seconds: float
+    attempts: int
+    error: Optional[str] = None
+    traceback: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.metrics is not None
+
+
+def execute_point(
+    runner: Runner,
+    params: Mapping[str, Any],
+    seed: Optional[int],
+    policy: RetryPolicy = RetryPolicy(),
+) -> PointOutcome:
+    """Run one grid point under the retry policy; never raises.
+
+    Module-level so a ``ProcessPoolExecutor`` can pickle it; the timing is
+    taken inside the worker (summed over attempts), so it measures
+    compute, not queueing. Exceptions are captured as strings because the
+    exception object itself may not survive the pickle boundary back to
+    the dispatcher.
+    """
+    kwargs = dict(params)
+    if seed is not None:
+        kwargs["seed"] = seed
+    attempts = 0
+    seconds = 0.0
+    error = ""
+    trace = ""
+    while attempts <= policy.max_retries:
+        if attempts and policy.backoff_s:
+            time.sleep(policy.backoff_s * (2 ** (attempts - 1)))
+        attempts += 1
+        started = time.perf_counter()
+        try:
+            metrics = dict(runner(**kwargs))
+        except Exception as exc:
+            seconds += time.perf_counter() - started
+            error = f"{type(exc).__name__}: {exc}"
+            trace = traceback_module.format_exc()
+            continue
+        seconds += time.perf_counter() - started
+        return PointOutcome(metrics=metrics, seconds=seconds, attempts=attempts)
+    return PointOutcome(
+        metrics=None, seconds=seconds, attempts=attempts,
+        error=error, traceback=trace,
+    )
+
+
+def _outcomes(
+    pending: Sequence[Tuple[int, Dict[str, Any], Optional[int]]],
+    runner: Runner,
+    policy: RetryPolicy,
+    workers: int,
+) -> Iterator[Tuple[int, PointOutcome]]:
+    """``(index, outcome)`` per pending point, in completion order.
+
+    ``workers`` below 2 runs the points inline, one after another. From
+    2 up they fan out over a ``ProcessPoolExecutor`` of that size (the
+    runner must be picklable). A point whose worker dies — or whose
+    crash breaks the pool — becomes a failed outcome for that point;
+    every already-finished point keeps its result.
+    """
+    if workers < 2 or not pending:
+        for index, params, seed in pending:
+            yield index, execute_point(runner, params, seed, policy)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            pool.submit(execute_point, runner, params, seed, policy): index
+            for index, params, seed in pending
+        }
+        for future in concurrent.futures.as_completed(futures):
+            try:
+                outcome = future.result()
+            except Exception as exc:
+                # worker or pool death (e.g. BrokenProcessPool): this point
+                # failed, the loop still collects every other future's state
+                outcome = PointOutcome(
+                    metrics=None, seconds=0.0, attempts=1,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            yield futures[future], outcome
 
 
 def _check_metrics(
@@ -45,61 +158,9 @@ def _check_metrics(
     return names
 
 
-class _ExecutorSink(PointSink):
-    """Books backend outcomes into results, cache, telemetry, errors."""
-
-    def __init__(
-        self,
-        results: List[Optional[Dict[str, float]]],
-        errors: List[SweepError],
-        cache: Optional[SweepCache],
-        store_on_complete: bool,
-        telemetry: SweepTelemetry,
-        progress: Optional[Callable[[SweepTelemetry], None]],
-    ) -> None:
-        self.results = results
-        self.errors = errors
-        self.cache = cache
-        self.store_on_complete = store_on_complete
-        self.telemetry = telemetry
-        self.progress = progress
-
-    def complete(self, job, metrics, seconds, attempts=1, from_cache=False):
-        self.results[job.index] = dict(metrics)
-        if self.cache is not None and self.store_on_complete and not from_cache:
-            self.cache.put(job.params, job.seed, metrics)
-        cached: Optional[bool]
-        if self.cache is None:
-            cached = None  # no cache attached: neither counter moves
-        else:
-            cached = bool(from_cache)
-        self.telemetry.record(
-            job.index, job.params, seconds, cached=cached, attempts=attempts
-        )
-        if self.progress is not None:
-            self.progress(self.telemetry)
-
-    def fail(self, job, outcome: PointOutcome, host: str = "") -> None:
-        self.errors.append(SweepError(
-            index=job.index,
-            params=dict(job.params),
-            error=outcome.error or "?",
-            traceback=outcome.traceback,
-            attempts=outcome.attempts,
-            host=host or self.telemetry.host,
-        ))
-        self.telemetry.record_error(job.index, job.params, outcome.attempts)
-        if self.progress is not None:
-            self.progress(self.telemetry)
-
-    @property
-    def claim_counters(self) -> SweepTelemetry:
-        return self.telemetry
-
-
 def grid_sweep(
     param_grid: Mapping[str, Sequence[Any]],
-    runner: Callable[..., Mapping[str, float]],
+    runner: Runner,
     *,
     workers: Optional[int] = None,
     base_seed: Optional[int] = None,
@@ -107,12 +168,9 @@ def grid_sweep(
     cache_dir: Optional[str] = None,
     version_tag: Optional[str] = None,
     progress: Optional[Callable[[SweepTelemetry], None]] = None,
-    backend: Optional[object] = None,
     max_retries: int = 0,
     retry_backoff_s: float = 0.0,
     on_error: str = "raise",
-    claim_ttl_s: float = 120.0,
-    host_id: Optional[str] = None,
 ) -> SweepResult:
     """Run ``runner(**params)`` for every combination in the grid.
 
@@ -137,12 +195,6 @@ def grid_sweep(
     ``progress``: optional callback invoked with the live
     :class:`~repro.metrics.SweepTelemetry` after each point completes.
 
-    ``backend``: ``None`` (infer from ``workers``), ``"serial"``,
-    ``"process-pool"``, ``"shared-dir"`` (multi-host dispatch through a
-    shared ``cache_dir`` — several dispatcher processes may run the same
-    call concurrently and each returns the full identical result), or a
-    :class:`~repro.sweep.backends.SweepBackend` instance.
-
     ``max_retries``/``retry_backoff_s``: bounded per-point retry with
     exponential backoff before a point is declared failed.
 
@@ -150,10 +202,6 @@ def grid_sweep(
     the whole grid has been driven; completed points stay cached, so a
     re-run resumes) or ``"keep-going"`` (failed points surface as
     ``SweepResult.errors`` and the surviving points are returned).
-
-    ``claim_ttl_s``/``host_id``: shared-dir dispatch knobs — seconds
-    before another dispatcher may steal an abandoned claim, and the
-    identity stamped into claims and telemetry (default ``hostname:pid``).
 
     Point order in the result is always canonical grid order
     (``itertools.product`` over the grid as given), independent of
@@ -175,11 +223,7 @@ def grid_sweep(
         )
     if cache is None and cache_dir is not None:
         cache = SweepCache(cache_dir, version_tag or CODE_VERSION_TAG)
-
-    executor = resolve_backend(
-        backend, int(workers) if workers else 0, cache,
-        claim_ttl_s=claim_ttl_s, host_id=host_id,
-    )
+    workers = int(workers) if workers and workers > 1 else 1
     policy = RetryPolicy(max_retries=max_retries, backoff_s=retry_backoff_s)
 
     combos: List[Dict[str, Any]] = [
@@ -193,20 +237,14 @@ def grid_sweep(
 
     telemetry = SweepTelemetry(
         total=len(combos),
-        mode=executor.name,
-        workers=executor.workers,
-        host=host_id,
+        mode="process-pool" if workers > 1 else "serial",
+        workers=workers,
     )
-    if executor.publishes_to_cache and cache is not None:
-        publish_manifest(
-            cache.root, names, len(combos), cache.version_tag, base_seed,
-            host_id=telemetry.host,
-        )
     wall_started = time.perf_counter()
 
     results: List[Optional[Dict[str, float]]] = [None] * len(combos)
     errors: List[SweepError] = []
-    pending: List[PointJob] = []
+    pending: List[Tuple[int, Dict[str, Any], Optional[int]]] = []
     for index, params in enumerate(combos):
         if cache is not None:
             lookup_started = time.perf_counter()
@@ -220,18 +258,31 @@ def grid_sweep(
                 if progress is not None:
                     progress(telemetry)
                 continue
-        pending.append(PointJob(index=index, params=params, seed=seeds[index]))
+        pending.append((index, params, seeds[index]))
 
-    sink = _ExecutorSink(
-        results=results,
-        errors=errors,
-        cache=cache,
-        store_on_complete=not executor.publishes_to_cache,
-        telemetry=telemetry,
-        progress=progress,
-    )
-    if pending:
-        executor.execute(pending, runner, policy, sink)
+    for index, outcome in _outcomes(pending, runner, policy, workers):
+        params = combos[index]
+        if outcome.ok:
+            results[index] = outcome.metrics
+            if cache is not None:
+                cache.put(params, seeds[index], outcome.metrics)
+            # with no cache attached neither cache counter moves
+            telemetry.record(
+                index, params, outcome.seconds,
+                cached=None if cache is None else False,
+                attempts=outcome.attempts,
+            )
+        else:
+            errors.append(SweepError(
+                index=index,
+                params=dict(params),
+                error=outcome.error or "?",
+                traceback=outcome.traceback,
+                attempts=outcome.attempts,
+            ))
+            telemetry.record_error(index, params, outcome.attempts)
+        if progress is not None:
+            progress(telemetry)
 
     telemetry.wall_seconds = time.perf_counter() - wall_started
     errors.sort(key=lambda e: e.index)

@@ -1,8 +1,8 @@
 """Sweep result containers: points, per-point failures, the strict-mode error.
 
-:class:`SweepResult` is the value every backend produces — the same
-canonical-order point list on every host that runs (or resumes) the same
-grid. Fault tolerance adds :class:`SweepError` (one structured record per
+:class:`SweepResult` is the value every sweep produces — the same
+canonical-order point list whether the grid ran serially, in a process
+pool, or resumed from the cache. Fault tolerance adds :class:`SweepError` (one structured record per
 point that exhausted its attempts) and :class:`SweepFailure` (the
 exception strict mode raises *after* the whole grid has been driven, so
 completed points are already published to the cache and the sweep is
@@ -30,10 +30,9 @@ class SweepError:
     """One grid point that failed after exhausting its retry budget.
 
     ``error`` is the ``TypeName: message`` form of the last exception;
-    ``traceback`` its formatted traceback when the failure happened in
-    this process (empty when only the marker another dispatcher published
-    is available). ``attempts`` counts runner invocations made for the
-    point, and ``host`` names the dispatcher that observed the failure.
+    ``traceback`` its formatted traceback (empty when the worker process
+    died before it could report one). ``attempts`` counts runner
+    invocations made for the point.
     """
 
     index: int
@@ -41,7 +40,6 @@ class SweepError:
     error: str
     traceback: str = ""
     attempts: int = 1
-    host: str = ""
 
 
 class SweepFailure(RuntimeError):

@@ -95,34 +95,34 @@ class TestDispatchFlags:
         parser = build_parser()
         for command in ("sweep", "grid"):
             args = parser.parse_args(
-                [command, "--backend", "serial", "--max-retries", "2",
-                 "--keep-going"]
+                [command, "--max-retries", "2", "--keep-going"]
             )
-            assert args.backend == "serial"
             assert args.max_retries == 2
             assert args.keep_going is True
 
-    def test_grid_shared_dir_backend(self, capsys, tmp_path):
-        assert main(["grid", "--distances", "1,10", "--periods", "1,2",
-                     "--backend", "shared-dir",
-                     "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "shared-dir" in out
-        assert "distance \\ k" in out
 
-    def test_grid_status_reports_progress(self, capsys, tmp_path):
-        main(["grid", "--distances", "1,10", "--periods", "1,2",
-              "--backend", "shared-dir", "--cache-dir", str(tmp_path)])
-        capsys.readouterr()
-        assert main(["grid", "--status", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "status: 4/4 points done" in out
-        assert "total=4" in out  # the manifest line
+class TestBadSweepInput:
+    """Malformed sweep/grid input exits 2 with a message, not a traceback
+    and never a silently dropped axis."""
 
-    def test_grid_status_missing_dir_exits_2(self, capsys, tmp_path):
-        assert main(["grid", "--status", str(tmp_path / "nope")]) == 2
-        err = capsys.readouterr().err
-        assert "no such sweep cache directory" in err
+    def test_negative_max_retries_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--max-periods", "1", "--max-retries", "-1"])
+        assert err.value.code == 2
+        assert "retry count of at least 0" in capsys.readouterr().err
+
+    def test_repeated_param_key_exits_2(self, capsys):
+        assert main(["sweep", "--runner", "relay-savings",
+                     "--param", "periods=1,2", "--param", "periods=3"]) == 2
+        captured = capsys.readouterr()
+        assert "'periods' is already given" in captured.err
+        assert "sweep:" not in captured.out  # nothing ran
+
+    @pytest.mark.parametrize("distances", ["", "1,x"])
+    def test_bad_grid_distances_exit_2(self, capsys, distances):
+        assert main(["grid", "--distances", distances,
+                     "--periods", "1"]) == 2
+        assert "bad --distances" in capsys.readouterr().err
 
 
 class TestChaosFlags:

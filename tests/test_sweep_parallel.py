@@ -1,6 +1,6 @@
-"""The parallel sweep executor: equivalence, caching, observability.
+"""The sweep executor: equivalence, caching, observability, fault tolerance.
 
-The contract under test (see `repro/sweep.py`):
+The contract under test (see ``repro/sweep/``):
 
 1. a serial run and a ``workers=4`` run of the same grid produce
    identical :class:`SweepPoint` lists — same order, same params, same
@@ -8,7 +8,12 @@ The contract under test (see `repro/sweep.py`):
 2. the on-disk cache serves unchanged points without re-running them,
    and any config change (parameter value, seed, version tag) misses;
 3. every sweep exports per-point timings and progress counters through
-   :class:`repro.metrics.SweepTelemetry`.
+   :class:`repro.metrics.SweepTelemetry`;
+4. a raising runner never aborts the dispatch loop: with
+   ``on_error="keep-going"`` the surviving points come back with a
+   structured error list, with the default strict mode a
+   :class:`SweepFailure` is raised *after* the whole grid was driven and
+   completed points stay in the cache, so a re-run resumes.
 
 The runners used with ``workers>1`` are module-level on purpose: the
 ``ProcessPoolExecutor`` path pickles the callable, which is exactly the
@@ -20,7 +25,13 @@ import pytest
 from repro.metrics import SweepPointTiming, SweepTelemetry
 from repro.scenarios import relay_savings_runner
 from repro.sim.rng import make_rng, spawn
-from repro.sweep import CODE_VERSION_TAG, SweepCache, grid_sweep
+from repro.sweep import (
+    CODE_VERSION_TAG,
+    RetryPolicy,
+    SweepCache,
+    SweepFailure,
+    grid_sweep,
+)
 
 GRID = {"a": [1, 2], "b": [10, 20, 30]}
 
@@ -32,6 +43,12 @@ def seeded_runner(a, b, seed):
 
 
 def unseeded_runner(a, b):
+    return {"product": float(a * b)}
+
+
+def failing_runner(a, b):
+    if a == 2 and b == 20:
+        raise RuntimeError("synthetic point failure")
     return {"product": float(a * b)}
 
 
@@ -209,3 +226,91 @@ class TestCounterHygiene:
                          grid_sweep(GRID, unseeded_runner).telemetry.timings}
         assert cold_attempts == {1}
         assert {t.attempts for t in warm.telemetry.timings} == {0}
+
+
+class FlakyRunner:
+    """Fails each point ``failures`` times before succeeding (serial only)."""
+
+    def __init__(self, failures):
+        self.failures = failures
+        self.attempts = {}
+
+    def __call__(self, a, b):
+        key = (a, b)
+        self.attempts[key] = self.attempts.get(key, 0) + 1
+        if self.attempts[key] <= self.failures:
+            raise RuntimeError(f"transient failure #{self.attempts[key]}")
+        return unseeded_runner(a, b)
+
+
+class TestRetry:
+    def test_bounded_retry_recovers_transient_failures(self):
+        runner = FlakyRunner(failures=2)
+        sweep = grid_sweep(GRID, runner, max_retries=2)
+        assert sweep.ok
+        assert len(sweep) == 6
+        assert sweep.telemetry.retries == 12  # 2 extra attempts per point
+        assert all(t.attempts == 3 for t in sweep.telemetry.timings)
+
+    def test_retry_budget_exhausted_is_a_failure(self):
+        runner = FlakyRunner(failures=5)
+        with pytest.raises(SweepFailure) as excinfo:
+            grid_sweep(GRID, runner, max_retries=1)
+        assert all(e.attempts == 2 for e in excinfo.value.errors)
+
+    def test_invalid_policy_rejected(self):
+        with pytest.raises(ValueError):
+            RetryPolicy(max_retries=-1)
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff_s=-0.5)
+
+
+class TestKeepGoing:
+    def test_surviving_points_come_back_with_the_error_list(self):
+        sweep = grid_sweep(GRID, failing_runner, on_error="keep-going")
+        assert not sweep.ok
+        assert len(sweep) == 5  # 6 points, 1 failed
+        assert len(sweep.errors) == 1
+        error = sweep.errors[0]
+        assert error.params == {"a": 2, "b": 20}
+        assert "synthetic point failure" in error.error
+        assert "RuntimeError" in error.traceback
+        assert sweep.telemetry.errors == 1
+        assert sweep.telemetry.pending == 0
+        assert "errors 1" in sweep.telemetry.summary()
+
+    def test_strict_mode_raises_after_driving_the_whole_grid(self):
+        with pytest.raises(SweepFailure) as excinfo:
+            grid_sweep(GRID, failing_runner)
+        failure = excinfo.value
+        assert failure.total == 6
+        assert len(failure.errors) == 1
+        assert failure.telemetry.completed == 5  # the rest still ran
+        assert "1 of 6 sweep points failed" in str(failure)
+        assert "re-run to resume" in str(failure)
+
+    def test_parallel_worker_crash_is_contained(self):
+        """One raising point in a process pool must not abort the loop."""
+        sweep = grid_sweep(GRID, failing_runner, workers=2,
+                           on_error="keep-going")
+        assert len(sweep) == 5
+        assert len(sweep.errors) == 1
+        assert sweep.errors[0].params == {"a": 2, "b": 20}
+
+    def test_invalid_on_error_rejected(self):
+        with pytest.raises(ValueError):
+            grid_sweep(GRID, unseeded_runner, on_error="ignore")
+
+
+class TestResume:
+    def test_interrupted_sweep_resumes_from_the_cache(self, tmp_path):
+        """Strict failure, then a re-run: completed points are served from
+        the cache and only the failed point is recomputed."""
+        with pytest.raises(SweepFailure):
+            grid_sweep(GRID, failing_runner, cache_dir=str(tmp_path))
+        assert len(list(tmp_path.rglob("*.json"))) == 5
+
+        sweep = grid_sweep(GRID, unseeded_runner, cache_dir=str(tmp_path))
+        assert sweep.ok and len(sweep) == 6
+        assert sweep.telemetry.cache_hits == 5
+        assert sweep.telemetry.cache_misses == 1
