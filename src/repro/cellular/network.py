@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.cellular.basestation import BaseStation
 from repro.cellular.signaling import L3Message, SignalingLedger
 from repro.mobility.space import Position, distance_between
@@ -47,6 +49,38 @@ def nearest_cell(cell_positions: Sequence[Position], position: Position) -> int:
         range(len(cell_positions)),
         key=lambda c: distance_between(cell_positions[c], position),
     )
+
+
+def cell_distances(
+    cell_positions: Sequence[Position], positions: Sequence[Position]
+) -> _np.ndarray:
+    """``positions × cells`` matrix of :func:`distance_between` values.
+
+    Each entry is ``sqrt(dx*dx + dy*dy)`` with ``dx = cell_x - x``: the
+    IEEE-754 sequence :func:`distance_between` performs, so every entry
+    equals the scalar distance bit for bit.
+    """
+    cells = _np.asarray(cell_positions, dtype=_np.float64).reshape(-1, 2)
+    points = _np.asarray(positions, dtype=_np.float64).reshape(-1, 2)
+    dx = cells[None, :, 0] - points[:, 0:1]
+    dy = cells[None, :, 1] - points[:, 1:2]
+    # in place: two matrices live at a time, not five
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return _np.sqrt(dx, out=dx)
+
+
+def nearest_cells(
+    cell_positions: Sequence[Position], positions: Sequence[Position]
+) -> List[int]:
+    """:func:`nearest_cell` for many positions in one numpy pass.
+
+    ``argmin`` keeps the first minimum of the exact distances, so ties
+    break to the lowest cell index exactly as :func:`nearest_cell`'s
+    ``min`` does.
+    """
+    return _np.argmin(cell_distances(cell_positions, positions), axis=1).tolist()
 
 
 @dataclasses.dataclass

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import os
 import random
 import sys
 from typing import Dict, List, Optional
@@ -715,6 +716,30 @@ def _retry_count(text: str) -> int:
     return retries
 
 
+def _period_count(text: str) -> int:
+    """``--max-periods`` value: an integer of at least one."""
+    periods = int(text)
+    if periods < 1:
+        raise argparse.ArgumentTypeError(
+            f"need at least one transmission period, got {periods}"
+        )
+    return periods
+
+
+def _cache_dir(text: str) -> str:
+    """``--cache-dir`` value: a directory, or a path one can be made at.
+
+    The nearest existing ancestor of the path must be a directory;
+    a regular file there would make the cache's ``os.makedirs`` fail.
+    """
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a directory")
+    return text
+
+
 def _add_dispatch_flags(parser: argparse.ArgumentParser) -> None:
     """Shared execution-layer flags of the `sweep` and `grid` subcommands."""
     parser.add_argument(
@@ -758,11 +783,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="saved energy vs. transmission times")
     sweep.add_argument("--ues", type=int, default=1)
-    sweep.add_argument("--max-periods", type=int, default=8)
+    sweep.add_argument("--max-periods", type=_period_count, default=8)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--workers", type=int, default=0,
                        help="process-pool size; <=1 runs serially")
-    sweep.add_argument("--cache-dir", default=None,
+    sweep.add_argument("--cache-dir", type=_cache_dir, default=None,
                        help="on-disk sweep result cache directory")
     _add_dispatch_flags(sweep)
     _add_runner_flags(sweep)
@@ -781,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--seed", type=int, default=0)
     grid.add_argument("--workers", type=int, default=0,
                       help="process-pool size; <=1 runs serially")
-    grid.add_argument("--cache-dir", default=None,
+    grid.add_argument("--cache-dir", type=_cache_dir, default=None,
                       help="on-disk sweep result cache directory")
     grid.add_argument("--timings", action="store_true",
                       help="print the per-point wall-clock timing table")

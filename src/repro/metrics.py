@@ -333,11 +333,11 @@ class SweepTelemetry:
         self.retries += max(0, int(attempts) - 1)
         return timing
 
-    def record_error(
-        self, index: int, params: Mapping[str, Any], attempts: int = 1
-    ) -> None:
-        """Book one point that exhausted its attempts without a result."""
-        del index, params  # identity lives in the SweepError list
+    def record_error(self, attempts: int = 1) -> None:
+        """Book one point that exhausted its attempts without a result.
+
+        Which point failed lives in the sweep's ``SweepError`` list.
+        """
         self.errors += 1
         self.retries += max(0, int(attempts) - 1)
 

@@ -18,10 +18,15 @@ window boundary every shard
    (frozen-position snapshots of foreign advertising devices near the
    border),
 2. runs its simulator to the boundary,
-3. runs a handover pass (nearest-cell reattachment, rebinding each
-   moved device's modem to the new cell's base station and ledger), and
+3. runs a handover pass over its movers (nearest-cell reattachment,
+   rebinding each moved device's modem to the new cell's base station
+   and ledger), and
 4. reports its own advertising devices that sit within the ghost margin
    of a foreign shard's cells.
+
+Static devices never change cell or border targets, so a shard computes
+theirs once at build; each window re-checks only the movers, with one
+movers × cells distance matrix for both passes.
 
 The parent gathers all reports (a barrier), routes them by the shard
 plan, and hands each shard its ghost list for the next window. Ghosts are
@@ -65,14 +70,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.cellular.network import CellularNetwork, grid_cell_positions, nearest_cell
+from repro.cellular.network import (
+    CellularNetwork,
+    cell_distances,
+    grid_cell_positions,
+    nearest_cell,
+    nearest_cells,
+)
 from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.metrics import DeliveryMetrics, RunMetrics, collect_metrics
 from repro.mobility.models import StaticMobility
-from repro.mobility.space import Arena, Position, distance_between
+from repro.mobility.space import Arena, Position
 from repro.scenarios import DEFAULT_DRAIN_S, CrowdLayout, build_crowd, crowd_layout
 from repro.sim.engine import Simulator
 from repro.sim.rng import child_seed
@@ -89,18 +100,11 @@ def cell_occupancy(
     """Devices per grid cell (nearest-cell assignment, first cell wins ties).
 
     The tile planner's cost model: one count per cell, computed once from
-    the t=0 placements. ``argmin`` keeps the first minimum, so ties break
-    to the lowest cell index.
+    the t=0 placements with :func:`nearest_cells`, the attachment rule
+    itself.
     """
     counts = [0] * len(cell_positions)
-    if not positions:
-        return counts
-    cells = _np.asarray(cell_positions, dtype=_np.float64)
-    points = _np.asarray(positions, dtype=_np.float64)
-    dx = points[:, 0:1] - cells[None, :, 0]
-    dy = points[:, 1:2] - cells[None, :, 1]
-    nearest = _np.argmin(dx * dx + dy * dy, axis=1)
-    for cell in nearest.tolist():
+    for cell in nearest_cells(cell_positions, positions):
         counts[cell] += 1
     return counts
 
@@ -222,37 +226,39 @@ class ShardPlan:
             n_shards, cells_x, cells_y,
             [1.0] * n_cells if cell_weights is None else list(cell_weights),
         )
-        self._shard_cells: List[List[Position]] = [[] for _ in range(n_shards)]
-        for position, shard in zip(self.cell_positions, self.cell_shards):
-            self._shard_cells[shard].append(position)
+        #: shard -> its cells' column indices in a :func:`cell_distances` matrix
+        self._shard_columns: List[_np.ndarray] = [
+            _np.flatnonzero(_np.asarray(self.cell_shards) == j)
+            for j in range(n_shards)
+        ]
 
     def shard_of_position(self, position: Position) -> int:
         """Home shard of a device standing at ``position``."""
         return self.cell_shards[nearest_cell(self.cell_positions, position)]
 
-    def border_shards(
-        self, position: Position, own_shard: int, margin_m: float
-    ) -> List[int]:
-        """Foreign shards that should see a ghost of this device.
+    def border_targets(
+        self, distances: _np.ndarray, own_shard: int, margin_m: float
+    ) -> List[List[int]]:
+        """Foreign shards that should see a ghost of each device.
 
-        A device borders shard ``j`` when its distance to ``j``'s nearest
+        ``distances`` holds one row per device, as
+        ``cell_distances(self.cell_positions, positions)`` builds it. A
+        device borders shard ``j`` when its distance to ``j``'s nearest
         cell exceeds its distance to the overall nearest cell by at most
         ``2 × margin_m`` — twice the D2D range, so any foreign device it
         could possibly reach lives in a shard that received its ghost.
+        Each row's targets come in ascending shard order.
         """
-        d_best = min(
-            distance_between(cell, position) for cell in self.cell_positions
-        )
-        out: List[int] = []
-        for j in range(self.n_shards):
+        targets: List[List[int]] = [[] for _ in range(len(distances))]
+        d_best = distances.min(axis=1)
+        reach = 2.0 * margin_m
+        for j, columns in enumerate(self._shard_columns):
             if j == own_shard:
                 continue
-            d_j = min(
-                distance_between(cell, position) for cell in self._shard_cells[j]
-            )
-            if d_j - d_best <= 2.0 * margin_m:
-                out.append(j)
-        return out
+            near = distances[:, columns].min(axis=1) - d_best <= reach
+            for row in _np.flatnonzero(near).tolist():
+                targets[row].append(j)
+        return targets
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,6 +335,12 @@ GhostEntry = Tuple[str, float, float, str]
 ReportEntry = Tuple[str, float, float, str, List[int]]
 
 
+#: statics per distance matrix at build; one matrix for all ~3,600
+#: statics of a ``sharded-city`` shard raised the worker's peak RSS by
+#: ~1.4 MB
+_STATIC_ROWS = 512
+
+
 class _ShardState:
     """One shard's complete world: simulator, cells, devices, framework.
 
@@ -372,6 +384,32 @@ class _ShardState:
         self.devices = crowd.devices
         self.framework = crowd.framework
 
+        # A static device keeps its build-time cell and its border targets
+        # for the whole run, so its targets are computed here, in numpy
+        # batches, and the window passes re-check only the movers.
+        statics = []
+        #: own devices whose position may change (nonzero or unknown speed)
+        self._movers = []
+        for device in self.devices.values():
+            if device.mobility.max_speed_m_s() == 0.0:
+                statics.append(device)
+            else:
+                self._movers.append(device)
+        positions = [device.mobility.position(0.0) for device in statics]
+        targets: List[List[int]] = []
+        for start in range(0, len(positions), _STATIC_ROWS):
+            rows = positions[start:start + _STATIC_ROWS]
+            targets += self.plan.border_targets(
+                cell_distances(self.plan.cell_positions, rows),
+                shard_index, params.ghost_margin_m,
+            )
+        #: the statics a foreign shard may ghost, as fixed report entries
+        self._static_border: List[ReportEntry] = [
+            (device.device_id, x, y, device.role.value, device_targets)
+            for device, (x, y), device_targets in zip(statics, positions, targets)
+            if device_targets
+        ]
+
         self.handovers = 0
         self.ghost_registrations = 0
         self._ghosts: Dict[str, GhostEntry] = {}
@@ -414,8 +452,13 @@ class _ShardState:
         sync_s = t_sim - t_start
         self.sim.run_until(t_end)
         t_post = time.perf_counter()
-        self.handover_pass()
-        report = self.border_report()
+        # the movers' positions and one movers × cells distance matrix
+        # serve both passes
+        t = self.sim.now
+        positions = [device.mobility.position(t) for device in self._movers]
+        distances = cell_distances(self.plan.cell_positions, positions)
+        self.handover_pass(positions, distances)
+        report = self.border_report(positions, distances)
         t_done = time.perf_counter()
         self.medium.perf.add_seconds("shard-sync", sync_s + (t_done - t_post))
         return report, t_done - t_start
@@ -455,33 +498,55 @@ class _ShardState:
             self._ghosts[ghost_id] = entry
             self.ghost_registrations += 1
 
-    def handover_pass(self) -> None:
-        """Nearest-cell reattachment for every own device."""
-        t = self.sim.now
-        for device in self.devices.values():
-            cell, changed = self.network.reattach(
-                device.device_id, device.mobility.position(t)
-            )
-            if changed:
-                # rebind the modem to the new cell; RRC state (and its
-                # pending timers) carry over, as in a lossless handover
-                device.modem.basestation = cell.basestation
-                device.modem.rrc.ledger = cell.ledger
-                self.handovers += 1
+    def handover_pass(
+        self, positions: List[Position], distances: _np.ndarray
+    ) -> None:
+        """Nearest-cell reattachment for every own mover.
 
-    def border_report(self) -> List[ReportEntry]:
-        """Own advertising devices a foreign shard should ghost."""
-        t = self.sim.now
-        margin = self.params.ghost_margin_m
-        report: List[ReportEntry] = []
-        for device_id, device in self.devices.items():
-            endpoint = self.medium.endpoint(device_id)
-            if not endpoint.advertising or not endpoint.powered_on:
+        ``positions`` and ``distances`` are the movers' positions and
+        their ``cell_distances`` rows; the network's scalar
+        :meth:`~repro.cellular.network.CellularNetwork.reattach` runs only
+        for the movers whose nearest cell changed.
+        """
+        cells = self.network.cells
+        nearest = distances.argmin(axis=1).tolist()
+        for device, position, cell_index in zip(self._movers, positions, nearest):
+            if self.network.cell_of(device.device_id) is cells[cell_index]:
                 continue
-            x, y = device.mobility.position(t)
-            targets = self.plan.border_shards((x, y), self.shard_index, margin)
-            if targets:
-                report.append((device_id, x, y, device.role.value, targets))
+            cell, _changed = self.network.reattach(device.device_id, position)
+            # rebind the modem to the new cell; RRC state (and its
+            # pending timers) carry over, as in a lossless handover
+            device.modem.basestation = cell.basestation
+            device.modem.rrc.ledger = cell.ledger
+            self.handovers += 1
+
+    def border_report(
+        self, positions: List[Position], distances: _np.ndarray
+    ) -> List[ReportEntry]:
+        """Own advertising devices a foreign shard should ghost.
+
+        Statics report their build-time entries; movers are evaluated from
+        this window's ``positions``/``distances``. Whether a device
+        advertises is checked every window. :func:`_route_reports` sorts
+        what it routes, so the report's order carries no meaning.
+        """
+        medium = self.medium
+        report: List[ReportEntry] = []
+        for entry in self._static_border:
+            endpoint = medium.endpoint(entry[0])
+            if endpoint.advertising and endpoint.powered_on:
+                report.append(entry)
+        targets = self.plan.border_targets(
+            distances, self.shard_index, self.params.ghost_margin_m
+        )
+        for device, (x, y), device_targets in zip(self._movers, positions, targets):
+            if not device_targets:
+                continue
+            endpoint = medium.endpoint(device.device_id)
+            if endpoint.advertising and endpoint.powered_on:
+                report.append(
+                    (device.device_id, x, y, device.role.value, device_targets)
+                )
         return report
 
     # ------------------------------------------------------------------

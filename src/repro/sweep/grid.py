@@ -280,7 +280,7 @@ def grid_sweep(
                 traceback=outcome.traceback,
                 attempts=outcome.attempts,
             ))
-            telemetry.record_error(index, params, outcome.attempts)
+            telemetry.record_error(outcome.attempts)
         if progress is not None:
             progress(telemetry)
 

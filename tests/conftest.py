@@ -139,6 +139,37 @@ def reference_channel():
     return oracle
 
 
+def border_shards(plan, position, own_shard, margin_m):
+    """The border-target oracle: a scalar walk over every cell.
+
+    Foreign shards ``j`` whose nearest cell lies at most ``2 × margin_m``
+    farther from ``position`` than the overall nearest cell, computed one
+    :func:`distance_between` at a time — the rule
+    :meth:`repro.shard.ShardPlan.border_targets` evaluates as one numpy
+    pass over a whole distance matrix.
+    """
+    d_best = min(distance_between(cell, position) for cell in plan.cell_positions)
+    out = []
+    for j in range(plan.n_shards):
+        if j == own_shard:
+            continue
+        d_j = min(
+            distance_between(cell, position)
+            for cell, shard in zip(plan.cell_positions, plan.cell_shards)
+            if shard == j
+        )
+        if d_j - d_best <= 2.0 * margin_m:
+            out.append(j)
+    return out
+
+
+@pytest.fixture(scope="session")
+def border_oracle():
+    """:func:`border_shards`, for Hypothesis tests (which cannot take
+    function-scoped fixtures)."""
+    return border_shards
+
+
 @pytest.fixture
 def sim() -> Simulator:
     """Fresh deterministic simulator."""

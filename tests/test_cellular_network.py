@@ -1,14 +1,22 @@
 """Tests for the multi-cell network."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.cellular.network import CellularNetwork, CombinedLedger, nearest_cell
+from repro.cellular.network import (
+    CellularNetwork,
+    CombinedLedger,
+    cell_distances,
+    nearest_cell,
+    nearest_cells,
+)
 from repro.cellular.signaling import Direction, L3MessageType, SignalingLedger
 from repro.core.framework import HeartbeatRelayFramework
 from repro.d2d.base import D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.device import Role, Smartphone
 from repro.mobility.models import StaticMobility
+from repro.mobility.space import distance_between
 from repro.sim.engine import Simulator
 from repro.workload.apps import STANDARD_APP
 from repro.workload.server import IMServer
@@ -31,6 +39,10 @@ class TestAttachment:
         assert network.attach("a", (50.0, 0.0)).cell_id == "cell-0"
         assert network.reattach("a", (50.0, 0.0)) == (network.cells[0], False)
 
+    def test_nearest_cells_on_an_empty_crowd(self):
+        assert nearest_cells([(0.0, 0.0), (1.0, 0.0)], []) == []
+
+
     def test_unattached_lookup_raises(self, sim):
         network = CellularNetwork(sim, [(0.0, 0.0)])
         with pytest.raises(KeyError):
@@ -46,6 +58,39 @@ class TestAttachment:
         network.attach("b", (2.0, 0.0))
         network.attach("c", (99.0, 0.0))
         assert network.attached_by_cell() == {"cell-0": 2, "cell-1": 1}
+
+
+# whole metres make equidistant ties common; the float arm covers the rest
+_coord = st.one_of(
+    st.integers(-60, 60).map(float),
+    st.floats(min_value=-5000.0, max_value=5000.0, allow_nan=False),
+)
+_point = st.tuples(_coord, _coord)
+
+
+class TestNearestCellsMatchTheScalarRule:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        cells=st.lists(_point, min_size=1, max_size=12),
+        positions=st.lists(_point, max_size=20),
+    )
+    # the midpoint of two cells, on and off their axis
+    @example(cells=[(0.0, 0.0), (100.0, 0.0)], positions=[(50.0, 0.0), (50.0, 7.0)])
+    # the corner shared by four grid cells: a four-way tie
+    @example(
+        cells=[(25.0, 10.0), (75.0, 10.0), (25.0, 30.0), (75.0, 30.0)],
+        positions=[(50.0, 20.0), (50.0, 10.0), (25.0, 20.0)],
+    )
+    # duplicate cells: every distance ties
+    @example(cells=[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)], positions=[(0.0, 0.0)])
+    def test_same_cell_and_same_distances(self, cells, positions):
+        assert nearest_cells(cells, positions) == [
+            nearest_cell(cells, position) for position in positions
+        ]
+        assert cell_distances(cells, positions).tolist() == [
+            [distance_between(cell, position) for cell in cells]
+            for position in positions
+        ]
 
 
 class TestCombinedLedger:

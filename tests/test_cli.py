@@ -118,6 +118,27 @@ class TestBadSweepInput:
         assert "'periods' is already given" in captured.err
         assert "sweep:" not in captured.out  # nothing ran
 
+    def test_zero_max_periods_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--max-periods", "0"])
+        assert err.value.code == 2
+        assert "at least one transmission period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["grid", "--distances", "1", "--periods", "1"],
+        ["sweep", "--max-periods", "1"],
+    ])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_cache_dir_on_a_regular_file_exits_2(
+        self, capsys, tmp_path, command, below
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--cache-dir", str(blocker / below)])
+        assert err.value.code == 2
+        assert "is not a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("distances", ["", "1,x"])
     def test_bad_grid_distances_exit_2(self, capsys, distances):
         assert main(["grid", "--distances", distances,

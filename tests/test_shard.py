@@ -1,9 +1,16 @@
 """Unit tests for the cell-sharded kernel (repro.shard)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cellular.network import CellularNetwork, grid_cell_positions
+from repro.cellular.network import (
+    CellularNetwork,
+    cell_distances,
+    grid_cell_positions,
+    nearest_cell,
+)
 from repro.cli import main
+from repro.mobility.models import StaticMobility
 from repro.mobility.space import Arena
 from repro.scenarios import crowd_metrics_runner, run_crowd_scenario
 from repro.shard import (
@@ -40,13 +47,15 @@ class TestShardPlan:
         assert plan.shard_of_position((10.0, 50.0)) == 0
         assert plan.shard_of_position((390.0, 50.0)) == 1
 
-    def test_border_shards_near_and_far(self):
+    def test_border_shards_near_and_far(self, border_oracle):
         plan = ShardPlan(2, 4, 2, 400.0, 100.0)
         # standing right on the column boundary: both shards' nearest
         # cells are equidistant, so the foreign shard is within margin
-        assert plan.border_shards((200.0, 50.0), 0, 50.0) == [1]
+        assert border_oracle(plan, (200.0, 50.0), 0, 50.0) == [1]
         # deep inside shard 0's territory: no foreign shard in reach
-        assert plan.border_shards((50.0, 50.0), 0, 50.0) == []
+        assert border_oracle(plan, (50.0, 50.0), 0, 50.0) == []
+        distances = cell_distances(plan.cell_positions, [(200.0, 50.0), (50.0, 50.0)])
+        assert plan.border_targets(distances, 0, 50.0) == [[1], []]
 
     def test_rejects_unknown_plan_name(self):
         # the entry point keeps its shard_plan keyword; tiles is its one value
@@ -120,6 +129,101 @@ class TestTilePartition:
         first = _tile_partition(5, 6, 4, weights)
         second = _tile_partition(5, 6, 4, weights)
         assert first == second
+
+
+class TestBorderTargets:
+    """The vector border rule against the scalar oracle in conftest."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_vector_targets_equal_the_oracle(self, border_oracle, data):
+        cells_x = data.draw(st.integers(1, 5), label="cells_x")
+        cells_y = data.draw(st.integers(1, 4), label="cells_y")
+        n_shards = data.draw(
+            st.integers(1, min(4, cells_x * cells_y)), label="n_shards"
+        )
+        plan = ShardPlan(n_shards, cells_x, cells_y, 400.0, 120.0)
+        # whole metres land on cell midlines and tile borders, where the
+        # rule's distances tie
+        coord = st.one_of(
+            st.integers(-20, 420).map(float),
+            st.floats(min_value=-20.0, max_value=420.0),
+        )
+        points = data.draw(st.lists(st.tuples(coord, coord), max_size=25))
+        own = data.draw(st.integers(0, n_shards - 1), label="own")
+        margin = data.draw(st.sampled_from([0.0, 7.5, 50.0, 300.0]))
+        distances = cell_distances(plan.cell_positions, points)
+        assert plan.border_targets(distances, own, margin) == [
+            border_oracle(plan, point, own, margin) for point in points
+        ]
+
+
+class TestWindowPasses:
+    """Statics are settled at build; every window re-checks the movers."""
+
+    PARAMS = CrowdShardParams(
+        n_devices=60, arena_w=400.0, arena_h=120.0, hotspots=6,
+        mobile_fraction=0.3, seed=3, storm_scan_period_s=10.0,
+    )
+
+    def test_windows_never_ask_a_static_for_its_position(self):
+        shard = _ShardState(0, self.PARAMS)
+        statics = [
+            device for device in shard.devices.values()
+            if device.mobility.max_speed_m_s() == 0.0
+        ]
+        assert 0 < len(statics) < len(shard.devices)
+        # count only the window's own bookkeeping: the simulation itself
+        # may ask any device where it stands
+        calls = []
+        simulating = []
+        run_until = shard.sim.run_until
+
+        def run_until_uncounted(t):
+            simulating.append(True)
+            try:
+                return run_until(t)
+            finally:
+                simulating.pop()
+
+        shard.sim.run_until = run_until_uncounted
+
+        class CountingStatic(StaticMobility):
+            def position(self, t):
+                if not simulating:
+                    calls.append(t)
+                return super().position(t)
+
+        for device in statics:
+            device.mobility = CountingStatic(device.mobility.position(0.0))
+        for t_end in (5.0, 10.0, 15.0):
+            shard.run_window(t_end, [])
+        assert calls == []
+
+    def test_handovers_and_reports_equal_the_scalar_rules(self, border_oracle):
+        for index in range(self.PARAMS.n_shards):
+            shard = _ShardState(index, self.PARAMS)
+            network = shard.network
+            kinds = set()
+            for t_end in (5.0, 30.0, 60.0, 120.0):
+                report, _work = shard.run_window(t_end, [])
+                expected = []
+                for device_id, device in shard.devices.items():
+                    x, y = device.mobility.position(t_end)
+                    nearest = nearest_cell(network._cell_positions, (x, y))
+                    assert network.cell_of(device_id) is network.cells[nearest]
+                    endpoint = shard.medium.endpoint(device_id)
+                    if not (endpoint.advertising and endpoint.powered_on):
+                        continue
+                    targets = border_oracle(
+                        shard.plan, (x, y), index, self.PARAMS.ghost_margin_m
+                    )
+                    if targets:
+                        expected.append((device_id, x, y, device.role.value, targets))
+                        kinds.add(device.mobility.max_speed_m_s() == 0.0)
+                assert sorted(report) == sorted(expected)
+            # both statics and movers sat on the border
+            assert kinds == {True, False}
 
 
 class TestGhostMobility:
