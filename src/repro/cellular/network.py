@@ -12,7 +12,8 @@ station and ledger.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -118,6 +119,17 @@ class CombinedLedger:
     def cycles_for(self, device_id: str) -> int:
         return sum(ledger.cycles_for(device_id) for ledger in self._ledgers)
 
+    def device_totals(self) -> Tuple[Mapping[str, int], Mapping[str, int]]:
+        """Per-device ``(messages, cycles)`` summed over every cell in one
+        pass, for reading every device at once."""
+        counts: Counter = Counter()
+        cycles: Counter = Counter()
+        for ledger in self._ledgers:
+            ledger_counts, ledger_cycles = ledger.device_totals()
+            counts.update(ledger_counts)
+            cycles.update(ledger_cycles)
+        return counts, cycles
+
     def messages(self, device_id: Optional[str] = None) -> List[L3Message]:
         out: List[L3Message] = []
         for ledger in self._ledgers:
@@ -163,7 +175,12 @@ class CellularNetwork:
     # ------------------------------------------------------------------
     def attach(self, device_id: str, position: Position) -> Cell:
         """Attach a device to its nearest cell (build-time attachment)."""
-        cell = self.cells[nearest_cell(self._cell_positions, position)]
+        return self.attach_cell(device_id, nearest_cell(self._cell_positions, position))
+
+    def attach_cell(self, device_id: str, cell_index: int) -> Cell:
+        """Attach a device to ``cells[cell_index]``, for callers that
+        computed the nearest cells of a whole crowd in one pass."""
+        cell = self.cells[cell_index]
         self._attachment[device_id] = cell
         return cell
 

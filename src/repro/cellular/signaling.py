@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 class L3MessageType(str, enum.Enum):
@@ -143,6 +143,12 @@ class SignalingLedger:
     def cycles_for(self, device_id: str) -> int:
         """Completed RRC cycles for one device."""
         return self._cycles_by_device.get(device_id, 0)
+
+    def device_totals(self) -> Tuple[Mapping[str, int], Mapping[str, int]]:
+        """``(messages, cycles)`` per device id, for reading every device
+        at once; ids with neither are absent. The ledger's own counters,
+        not copies: callers must not mutate them."""
+        return self._count_by_device, self._cycles_by_device
 
     @property
     def total_cycles(self) -> int:

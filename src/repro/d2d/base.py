@@ -318,42 +318,36 @@ class D2DConnection:
         self.medium._break_connection(self, reason)
 
 
-class _VectorBlock:
-    """Aligned coordinate arrays for one ``(cell, k)`` candidate block.
+class _CandidateBlock:
+    """Aligned arrays for one cached block of scan candidates.
 
-    ``ids`` is the registration-order-sorted merged block (index cells +
-    unindexed side set, requester *not* filtered — the block is shared by
-    every requester scanning from the same cell). Static endpoints have
-    their coordinates baked in at build time; dynamic ones are listed in
-    ``_dynamic`` and re-read into the arrays once per instant, before the
-    first numpy distance evaluation at that instant.
+    ``ids`` (an object array), ``seqs`` (int64 registration sequence
+    numbers) and the ``xs``/``ys`` coordinates, one entry per candidate.
+    The requester is *not* filtered out: a block is shared by every
+    requester scanning from the same cell.
+
+    A *static* block is sorted by registration sequence and bakes its
+    coordinates in at build time. A *mover* block lists its endpoints in
+    ``_movers`` and re-reads their coordinates once per instant, before
+    the first numpy distance evaluation at that instant; its order
+    carries no meaning, since the scan sorts mover survivors by ``seqs``.
     """
 
-    __slots__ = ("ids", "xs", "ys", "_dynamic", "_t")
+    __slots__ = ("ids", "seqs", "xs", "ys", "_movers", "_t")
 
-    def __init__(self, ids, endpoints, static_pos) -> None:
-        n = len(ids)
-        xs = _np.empty(n)
-        ys = _np.empty(n)
-        dynamic = []
-        for i, device_id in enumerate(ids):
-            pos = static_pos.get(device_id)
-            if pos is not None:
-                xs[i] = pos[0]
-                ys[i] = pos[1]
-            else:
-                dynamic.append((i, endpoints[device_id]))
-        self.ids = ids
-        self.xs = xs
-        self.ys = ys
-        self._dynamic = dynamic
-        #: instant the dynamic coordinates were last read at
+    def __init__(self, ids, seqs, xs, ys, movers=None) -> None:
+        self.ids = _np.array(ids, dtype=object)
+        self.seqs = _np.array(seqs, dtype=_np.int64)
+        self.xs = _np.array(xs, dtype=_np.float64)
+        self.ys = _np.array(ys, dtype=_np.float64)
+        self._movers = movers
+        #: instant the mover coordinates were last read at
         self._t: Optional[float] = None
 
     def distances_from(self, origin: Position, t: float):
         """The block distances to ``origin`` at ``t`` as one numpy array.
 
-        Dynamic coordinates are refreshed only when ``t`` differs from the
+        Mover coordinates are refreshed only when ``t`` differs from the
         last refresh. That is exact: mobility models are analytic (random
         waypoint caches its legs), so two reads at one instant agree and
         draw nothing, and a same-instant cohort of scans sharing the block
@@ -366,15 +360,18 @@ class _VectorBlock:
         """
         xs = self.xs
         ys = self.ys
-        if t != self._t:
-            for i, endpoint in self._dynamic:
-                x, y = endpoint.position(t)
-                xs[i] = x
-                ys[i] = y
+        movers = self._movers
+        if movers is not None and t != self._t:
+            for i, endpoint in enumerate(movers):
+                xs[i], ys[i] = endpoint.position(t)
             self._t = t
         dx = xs - origin[0]
         dy = ys - origin[1]
         return _np.sqrt(dx * dx + dy * dy)
+
+
+#: what a scan from a cell with no static endpoint within one cell sees
+_NO_STATICS = _CandidateBlock([], [], [], [])
 
 
 class D2DMedium:
@@ -466,14 +463,8 @@ class D2DMedium:
         #: on every scan. Clearing this dict (tests do) falls back to live
         #: position lookups.
         self._static_pos: Dict[str, Position] = {}
-        #: (cell, k) → _VectorBlock. One *global* stamp covers the whole
-        #: dict — the stamp has no per-key component — so any
-        #: membership/bin change clears it outright, keeping it bounded by
-        #: the number of distinct blocks scanned since the last change.
-        self._vector_blocks: Dict[tuple, _VectorBlock] = {}
-        self._vector_blocks_stamp: Optional[tuple] = None
         #: registration order per device — candidate sets from the spatial
-        #: index are re-sorted by this so scans examine peers in exactly
+        #: indexes are re-sorted by this so scans examine peers in exactly
         #: the order a full walk of ``_endpoints`` would, keeping RSSI
         #: noise draws and result ordering independent of the index.
         #: ``_next_seq`` is monotonic (never reused after unregister), so
@@ -481,10 +472,27 @@ class D2DMedium:
         #: sequence number.
         self._seq: Dict[str, int] = {}
         self._next_seq = 0
-        self._index = SpatialIndex(technology.max_range_m)
-        #: endpoints with a finite, nonzero speed bound (rebinned lazily);
-        #: refresh passes evaluate them through a TrajectoryBatch rebuilt
-        #: whenever the membership version moves
+        #: endpoints with a zero speed bound, binned once. Cells are one
+        #: radio range wide, so the 3×3 cells around a scan's cell cover
+        #: its range from anywhere in that cell.
+        self._static_index = SpatialIndex(technology.max_range_m)
+        #: index cell → the static block of the 3×3 cells around it. A
+        #: static register/unregister evicts only the blocks of the 3×3
+        #: cells around the static's own cell, and mover motion evicts
+        #: nothing. Empty blocks are never stored, so the dict is bounded
+        #: by the static crowd's footprint.
+        self._static_blocks: Dict[tuple, _CandidateBlock] = {}
+        #: endpoints with a finite, nonzero speed bound, rebinned lazily
+        self._mover_index = SpatialIndex(technology.max_range_m)
+        #: (cell, k) → the mover block: the movers of the ``(2k+1)²``
+        #: cells around ``cell`` (range plus drift slack) and the whole
+        #: unindexed set. One global stamp, (mover-index version,
+        #: unindexed version), covers the dict, so any mover crossing a
+        #: cell or any mover/unindexed churn clears it outright.
+        self._mover_blocks: Dict[tuple, _CandidateBlock] = {}
+        self._mover_blocks_stamp: Optional[tuple] = None
+        #: the movers by id; refresh passes evaluate them through a
+        #: TrajectoryBatch rebuilt whenever the membership version moves
         self._mobile: Dict[str, D2DEndpoint] = {}
         self._mobile_version = 0
         self._mobile_batch: Optional[TrajectoryBatch] = None
@@ -492,7 +500,7 @@ class D2DMedium:
         #: endpoints whose mobility model has no known speed bound: the
         #: index can't promise they stay near their bin, so scans always
         #: examine them exactly. ``_unindexed_version`` bumps on every
-        #: membership change of this set — it is the vector-block stamp's
+        #: membership change of this set — it is the mover-block stamp's
         #: second component because unindexed churn never touches the
         #: index version.
         self._unindexed: Set[str] = set()
@@ -522,47 +530,64 @@ class D2DMedium:
         self._next_seq += 1
         self._endpoints[device_id] = endpoint
         max_speed = endpoint.mobility.max_speed_m_s()
-        if max_speed == 0.0:
-            # a zero speed bound means the position is time-invariant:
-            # memoise it once and spare every future scan the call.
-            self._static_pos[device_id] = endpoint.position(self.sim.now)
         if max_speed is None:
             self._unindexed.add(device_id)
             self._unindexed_version += 1
             return
-        self._index.insert(device_id, endpoint.position(self.sim.now))
-        if max_speed > 0.0:
-            self._mobile[device_id] = endpoint
-            self._mobile_version += 1
-            if max_speed > self._max_mobile_speed:
-                self._max_mobile_speed = max_speed
+        position = endpoint.position(self.sim.now)
+        if max_speed == 0.0:
+            # a zero speed bound means the position is time-invariant:
+            # memoise it once and spare every future scan the call.
+            self._static_pos[device_id] = position
+            self._evict_static_blocks(self._static_index.insert(device_id, position))
+            return
+        self._mover_index.insert(device_id, position)
+        self._mobile[device_id] = endpoint
+        self._mobile_version += 1
+        if max_speed > self._max_mobile_speed:
+            self._max_mobile_speed = max_speed
 
     def unregister(self, device_id: str) -> None:
         """Remove an endpoint from the medium entirely.
 
         Breaks its live connections, then drops every trace of it —
         endpoint map, registration sequence, static memo, mobile set,
-        unindexed set, spatial index. The sharded kernel churns ghost
-        endpoints through this every sync window, so the vector-block
-        stamp must move: the index version covers indexed members, and
-        ``_unindexed_version`` covers the side set.
+        unindexed set, spatial indexes. The sharded kernel churns ghost
+        endpoints (statics) through this every sync window, so a static
+        evicts the static blocks around its cell, while a mover moves the
+        mover-index version and an unindexed endpoint
+        ``_unindexed_version``, either of which clears the mover blocks.
         """
         self.endpoint(device_id)  # keep the unknown-device KeyError contract
         for connection in list(self._adjacency.get(device_id, ())):
             self._break_connection(connection, "peer unregistered")
         del self._endpoints[device_id]
         del self._seq[device_id]
-        self._static_pos.pop(device_id, None)
         if device_id in self._unindexed:
             self._unindexed.discard(device_id)
             self._unindexed_version += 1
             return
         if self._mobile.pop(device_id, None) is not None:
             self._mobile_version += 1
-        self._index.remove(device_id)
-        # _max_mobile_speed stays a (possibly loose) upper bound while
-        # movers remain: queries only ever widen, so candidate supersets
-        # remain supersets. _refresh_index drops it once the last leaves.
+            self._mover_index.remove(device_id)
+            # _max_mobile_speed stays a (possibly loose) upper bound while
+            # movers remain: queries only ever widen, so candidate
+            # supersets remain supersets. _refresh_index drops it once
+            # the last leaves.
+            return
+        self._static_pos.pop(device_id, None)
+        self._evict_static_blocks(self._static_index.remove(device_id))
+
+    def _evict_static_blocks(self, cell) -> None:
+        """Drop the static blocks that cover ``cell``: those keyed by it
+        and by its eight neighbours."""
+        blocks = self._static_blocks
+        if not blocks:
+            return
+        cx, cy = cell
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                blocks.pop((x, y), None)
 
     def endpoint(self, device_id: str) -> D2DEndpoint:
         try:
@@ -697,9 +722,11 @@ class D2DMedium:
     ) -> List[PeerInfo]:
         """Advertising, reachable peers in range of ``origin`` at ``t``.
 
-        One numpy pass over the shared ``(cell, k)`` coordinate block
-        computes every candidate distance and discards the out-of-range
-        majority in C. Reordering the range filter ahead of the
+        The candidates come in two shared blocks: the static block of the
+        origin's cell and the mover block of ``(cell, k)``. One numpy
+        pass over each computes every candidate distance and discards the
+        out-of-range majority in C; the survivors of both are merged by
+        registration sequence. Reordering the range filter ahead of the
         advertising filter is safe for determinism because the survivor
         set of *all* filters — the only candidates that reach the RSSI
         noise draw — is order-independent, and survivors are visited in
@@ -716,14 +743,32 @@ class D2DMedium:
         could flip a candidate in or out of range and desynchronize the
         RSSI noise stream from the oracle's per-peer walk.
         """
-        block = self._vector_block_for(origin, t)
+        self._refresh_index(t)
+        cell = self._static_index._cell_of(origin)
+        max_range = self.technology.max_range_m
+        statics = self._static_block_for(cell, origin)
+        distances = statics.distances_from(origin, t)
+        keep = _np.nonzero(distances <= max_range)[0]
+        ids = statics.ids[keep]
+        distances = distances[keep]
+        examined = len(statics.ids)
+        movers = self._mover_block_for(cell, origin, t)
+        if movers is not None:
+            examined += len(movers.ids)
+            mover_distances = movers.distances_from(origin, t)
+            mover_keep = _np.nonzero(mover_distances <= max_range)[0]
+            if len(mover_keep):
+                order = _np.argsort(
+                    _np.concatenate((statics.seqs[keep], movers.seqs[mover_keep]))
+                )
+                ids = _np.concatenate((ids, movers.ids[mover_keep]))[order]
+                distances = _np.concatenate(
+                    (distances, mover_distances[mover_keep])
+                )[order]
         perf = self.perf
         perf.vectorized_scans += 1
-        ids = block.ids
-        perf.scan_candidates_examined += len(ids) - 1
+        perf.scan_candidates_examined += examined - 1
         tech = self.technology
-        distances = block.distances_from(origin, t)
-        keep = _np.nonzero(distances <= tech.max_range_m)[0]
         link = tech.link
         tx = link.tx_power_dbm
         ref_db = link.path_loss_at_ref_db
@@ -738,8 +783,7 @@ class D2DMedium:
         found: List[PeerInfo] = []
         # .tolist() converts to exact python floats, so no numpy scalar
         # ever reaches the scalar math or a PeerInfo.
-        for idx, distance_m in zip(keep.tolist(), distances[keep].tolist()):
-            device_id = ids[idx]
+        for device_id, distance_m in zip(ids.tolist(), distances.tolist()):
             if device_id == requester_id:
                 continue
             peer = endpoints[device_id]
@@ -763,40 +807,83 @@ class D2DMedium:
             )
         return found
 
-    def _vector_block_for(self, origin: Position, t: float) -> _VectorBlock:
-        """The shared coordinate block for scans from ``origin``'s cell.
+    def _static_block_for(self, cell, origin: Position) -> _CandidateBlock:
+        """The static block for scans from ``cell``: every static endpoint
+        of the 3×3 cells around it, coordinates baked in.
 
-        The block merges the index's ``(2k+1)²`` candidate cells (range +
-        drift slack) with the always-checked unindexed set. The whole dict
-        is cleared when the global stamp moves: every register and
-        unregister bumps either the index version or
-        ``_unindexed_version``, and every cross-cell rebin bumps the
-        index version, so a stamp match means no block membership changed.
+        Built on first use and kept until a static registers or
+        unregisters within one cell of ``cell``; mover motion never
+        touches it. An empty block is not stored.
         """
-        index = self._index
-        self._refresh_index(t)
-        slack = self._max_mobile_speed * (t - self._last_refresh_s)
+        block = self._static_blocks.get(cell)
+        if block is not None:
+            return block
+        perf = self.perf
+        perf.index_queries += 1
+        ids = self._static_index.query_block(origin, self.technology.max_range_m)
+        if not ids:
+            return _NO_STATICS
+        seq = self._seq
+        ids.sort(key=seq.__getitem__)
+        static_pos = self._static_pos
+        endpoints = self._endpoints
+        xs = []
+        ys = []
+        for device_id in ids:
+            pos = static_pos.get(device_id)
+            if pos is None:  # the memo was cleared; statics never move
+                pos = endpoints[device_id].position(self.sim.now)
+            xs.append(pos[0])
+            ys.append(pos[1])
+        block = _CandidateBlock(ids, [seq[device_id] for device_id in ids], xs, ys)
+        self._static_blocks[cell] = block
+        perf.vector_block_builds += 1
+        return block
+
+    def _mover_block_for(
+        self, cell, origin: Position, t: float
+    ) -> Optional[_CandidateBlock]:
+        """The mover block for scans from ``cell`` at ``t``, or ``None``
+        when the medium holds no mover and no unindexed endpoint.
+
+        The block merges the mover index's ``(2k+1)²`` candidate cells
+        (range + drift slack) with the always-checked unindexed set. The
+        whole dict is cleared when the stamp moves: every mover register
+        and unregister and every cross-cell rebin bumps the mover-index
+        version, and unindexed churn bumps ``_unindexed_version``, so a
+        stamp match means no block membership changed.
+        """
+        if not self._mobile and not self._unindexed:
+            return None
+        index = self._mover_index
         max_range = self.technology.max_range_m
-        cell = index._cell_of(origin)
+        slack = self._max_mobile_speed * (t - self._last_refresh_s)
         k = max(0, math.ceil((max_range + slack) / index.cell_size_m))
         stamp = (index._version, self._unindexed_version)
-        blocks = self._vector_blocks
-        if stamp != self._vector_blocks_stamp:
+        blocks = self._mover_blocks
+        if stamp != self._mover_blocks_stamp:
             blocks.clear()
-            self._vector_blocks_stamp = stamp
+            self._mover_blocks_stamp = stamp
         key = (cell, k)
         block = blocks.get(key)
         if block is not None:
             return block
         ids = index.query_block(origin, max_range, slack)
-        # indexed and unindexed endpoints are disjoint, so no duplicates
+        # movers and unindexed endpoints are disjoint, so no duplicates;
+        # unsorted, since _scan orders mover survivors by ``seqs``
         ids.extend(self._unindexed)
-        ids.sort(key=self._seq.__getitem__)
-        block = _VectorBlock(ids, self._endpoints, self._static_pos)
+        seq = self._seq
+        endpoints = self._endpoints
+        zeros = [0.0] * len(ids)
+        block = _CandidateBlock(
+            ids,
+            [seq[device_id] for device_id in ids],
+            zeros,
+            zeros,
+            movers=[endpoints[device_id] for device_id in ids],
+        )
         blocks[key] = block
-        perf = self.perf
-        perf.index_queries += 1
-        perf.vector_block_builds += 1
+        self.perf.index_queries += 1
         return block
 
     def _refresh_index(self, t: float) -> None:
@@ -818,7 +905,7 @@ class D2DMedium:
             return
         if t - self._last_refresh_s < self.index_refresh_s:
             return
-        index = self._index
+        index = self._mover_index
         batch = self._mobile_batch
         if batch is None or self._mobile_batch_version != self._mobile_version:
             batch = TrajectoryBatch(

@@ -408,6 +408,7 @@ def collect_metrics(
     observability (excluded from comparable metrics).
     """
     per_device: Dict[str, DeviceMetrics] = {}
+    l3_counts, rrc_cycles = ledger.device_totals()
     for device in devices:
         per_device[device.device_id] = DeviceMetrics(
             device_id=device.device_id,
@@ -416,8 +417,8 @@ def collect_metrics(
             d2d_energy_uah=device.energy.d2d_uah,
             cellular_energy_uah=device.energy.cellular_uah,
             energy_breakdown=device.energy.breakdown(),
-            l3_messages=ledger.count_for(device.device_id),
-            rrc_cycles=ledger.cycles_for(device.device_id),
+            l3_messages=l3_counts.get(device.device_id, 0),
+            rrc_cycles=rrc_cycles.get(device.device_id, 0),
             uplink_sends=device.modem.sends,
             battery_level=device.battery.level if device.battery else None,
         )

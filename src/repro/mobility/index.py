@@ -24,7 +24,7 @@ All methods are O(1) or O(candidate cells); nothing is O(N).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.mobility.space import Position
 
@@ -75,26 +75,30 @@ class SpatialIndex:
         return device_id in self._where
 
     # ------------------------------------------------------------------
-    def insert(self, device_id: str, pos: Position) -> None:
-        """Add a device at ``pos``; it must not already be indexed."""
+    def insert(self, device_id: str, pos: Position) -> Cell:
+        """Add a device at ``pos``; it must not already be indexed.
+        Returns the cell it was binned into."""
         if device_id in self._where:
             raise ValueError(f"{device_id!r} is already indexed")
         cell = self._cell_of(pos)
         self._cells.setdefault(cell, {})[device_id] = None
         self._where[device_id] = cell
         self._version += 1
+        return cell
 
-    def remove(self, device_id: str) -> None:
-        """Drop a device from the index; unknown ids are ignored."""
+    def remove(self, device_id: str) -> Optional[Cell]:
+        """Drop a device from the index and return the cell it was in;
+        unknown ids are ignored (``None``)."""
         cell = self._where.pop(device_id, None)
         if cell is None:
-            return
+            return None
         bucket = self._cells.get(cell)
         if bucket is not None:
             bucket.pop(device_id, None)
             if not bucket:
                 del self._cells[cell]
         self._version += 1
+        return cell
 
     def update(self, device_id: str, pos: Position) -> None:
         """Rebin a device after it moved — O(1), no-op if the cell held."""
@@ -153,8 +157,8 @@ class SpatialIndex:
         of the query's own cell — a conservative cover of the query disc
         regardless of where in its cell ``pos`` falls, which is what makes
         the result cacheable per *(cell, k)* instead of per position
-        (:class:`~repro.d2d.base.D2DMedium` caches it, stamped with
-        ``_version``). Returns a fresh list the caller owns.
+        (:class:`~repro.d2d.base.D2DMedium` caches its candidate blocks
+        per cell). Returns a fresh list the caller owns.
         """
         reach = radius_m + slack_m
         if reach < 0:

@@ -43,14 +43,17 @@ class PerfCounters:
         self.scan_candidates_examined = 0
         #: peers actually returned to scan callbacks
         self.scan_peers_returned = 0
-        #: spatial-index range queries issued
+        #: block queries issued to the static and mover spatial indexes:
+        #: every static-block build, every static lookup from a cell with
+        #: no static within one cell (never cached), every mover-block build
         self.index_queries = 0
         #: incremental position updates applied to the index
         self.index_updates = 0
         #: scans whose distance math ran on the numpy block path (every
         #: scan; kept while bench reports read it)
         self.vectorized_scans = 0
-        #: aligned coordinate-block (re)builds behind vectorized scans
+        #: static-block (re)builds: first scans from a cell, and rebuilds
+        #: after static churn within one cell evicted the block
         self.vector_block_builds = 0
         self._timers: Dict[str, float] = {}
 

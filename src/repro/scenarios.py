@@ -40,7 +40,7 @@ from repro.device import Role, Smartphone
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.metrics import FaultMetrics, RunMetrics, collect_metrics
 from repro.mobility.models import MobilityModel, StaticMobility, place_crowd
-from repro.mobility.space import Arena, Position
+from repro.mobility.space import Arena
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.workload.apps import AppProfile, STANDARD_APP
@@ -886,10 +886,10 @@ def crowd_layout(
     return CrowdLayout(mobilities, relay_indices, phases)
 
 
-#: ``attach(device_id, t0_position)`` -> the device's ``(ledger,
+#: ``attach(layout_index, device_id)`` -> the device's ``(ledger,
 #: basestation)``, or ``None`` when another shard owns the device.
 CellAttach = Callable[
-    [str, Position], Optional[Tuple[SignalingLedger, BaseStation]]
+    [int, str], Optional[Tuple[SignalingLedger, BaseStation]]
 ]
 
 
@@ -939,7 +939,7 @@ def build_crowd(
     for i, (mobility, phase) in enumerate(zip(layout.mobilities, layout.phases)):
         is_relay = i in layout.relay_indices and mode == "d2d"
         device_id = f"{'relay' if is_relay else 'dev'}-{i}"
-        cell = attach(device_id, mobility.position(0.0))
+        cell = attach(i, device_id)
         if cell is None:
             continue
         ledger, basestation = cell
@@ -1035,7 +1035,7 @@ def run_crowd_scenario(
     crowd = build_crowd(
         context.sim,
         layout,
-        lambda _device_id, _position: (context.ledger, context.basestation),
+        lambda _index, _device_id: (context.ledger, context.basestation),
         context.medium,
         mode=mode,
         app=app,

@@ -74,7 +74,6 @@ from repro.cellular.network import (
     CellularNetwork,
     cell_distances,
     grid_cell_positions,
-    nearest_cell,
     nearest_cells,
 )
 from repro.d2d.base import D2DEndpoint, D2DMedium
@@ -94,19 +93,16 @@ from repro.workload.server import IMServer
 # ----------------------------------------------------------------------
 # partition plan
 # ----------------------------------------------------------------------
-def cell_occupancy(
-    cell_positions: Sequence[Position], positions: Sequence[Position]
-) -> List[int]:
-    """Devices per grid cell (nearest-cell assignment, first cell wins ties).
+def cell_occupancy(cells: Sequence[int], n_cells: int) -> List[int]:
+    """Devices per grid cell, given each device's cell index.
 
-    The tile planner's cost model: one count per cell, computed once from
-    the t=0 placements with :func:`nearest_cells`, the attachment rule
-    itself.
+    The tile planner's cost model, counted from the crowd's home cells
+    (:meth:`CrowdShardParams.home_cells`: the :func:`nearest_cells` of
+    the t=0 placements, the attachment rule itself).
     """
-    counts = [0] * len(cell_positions)
-    for cell in nearest_cells(cell_positions, positions):
-        counts[cell] += 1
-    return counts
+    return _np.bincount(
+        _np.asarray(cells, dtype=_np.int64), minlength=n_cells
+    ).tolist()
 
 
 def _tile_partition(
@@ -232,10 +228,6 @@ class ShardPlan:
             for j in range(n_shards)
         ]
 
-    def shard_of_position(self, position: Position) -> int:
-        """Home shard of a device standing at ``position``."""
-        return self.cell_shards[nearest_cell(self.cell_positions, position)]
-
     def border_targets(
         self, distances: _np.ndarray, own_shard: int, margin_m: float
     ) -> List[List[int]]:
@@ -304,25 +296,34 @@ class CrowdShardParams:
             relay_selection=self.relay_selection,
         )
 
-    def plan(self, layout: Optional[CrowdLayout] = None) -> ShardPlan:
-        """Build the partition every shard worker independently agrees on.
+    def home_cells(self, layout: CrowdLayout) -> List[int]:
+        """Each layout device's grid cell at t=0, in layout order.
 
-        The tile cost model counts the crowd's t=0 placements per cell.
-        Every worker reads them from the same :meth:`layout` and so
-        computes identical weights — no plan data crosses a process
-        boundary. Pass ``layout`` when it is already built.
+        One :func:`nearest_cells` pass over the t=0 placements: the cell
+        the network attaches the device to at build, and so (through the
+        plan's ``cell_shards``) its home shard.
         """
-        if layout is None:
-            layout = self.layout()
-        weights = cell_occupancy(
+        return nearest_cells(
             grid_cell_positions(
                 self.arena_w, self.arena_h, self.cells_x, self.cells_y
             ),
             [m.position(0.0) for m in layout.mobilities],
         )
+
+    def plan(self, home_cells: Optional[Sequence[int]] = None) -> ShardPlan:
+        """Build the partition every shard worker independently agrees on.
+
+        The tile cost model counts the crowd's home cells. Every worker
+        reads them from the same :meth:`layout` and so computes identical
+        weights — no plan data crosses a process boundary. Pass
+        ``home_cells`` when they are already computed.
+        """
+        if home_cells is None:
+            home_cells = self.home_cells(self.layout())
         return ShardPlan(
             self.n_shards, self.cells_x, self.cells_y,
-            self.arena_w, self.arena_h, cell_weights=weights,
+            self.arena_w, self.arena_h,
+            cell_weights=cell_occupancy(home_cells, self.cells_x * self.cells_y),
         )
 
 
@@ -353,7 +354,8 @@ class _ShardState:
         self.shard_index = shard_index
         self.params = params
         layout = params.layout()
-        self.plan = params.plan(layout)
+        home_cells = params.home_cells(layout)
+        self.plan = params.plan(home_cells)
         # shard 0 draws the unsharded run's stream, so one shard is the
         # unsharded run; every other shard gets a stream of its own
         self.sim = Simulator(
@@ -371,10 +373,13 @@ class _ShardState:
                 app, heartbeat_period_s=params.heartbeat_period_s
             )
 
-        def attach(device_id: str, position: Position):
-            if self.plan.shard_of_position(position) != shard_index:
+        cell_shards = self.plan.cell_shards
+
+        def attach(index: int, device_id: str):
+            cell_index = home_cells[index]
+            if cell_shards[cell_index] != shard_index:
                 return None
-            cell = self.network.attach(device_id, position)
+            cell = self.network.attach_cell(device_id, cell_index)
             return cell.ledger, cell.basestation
 
         crowd = build_crowd(

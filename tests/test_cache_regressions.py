@@ -1,9 +1,13 @@
 """Regression tests for latent discovery-cache bugs.
 
-The scan's one cache is ``D2DMedium._vector_blocks``: registration-order
-sorted candidate blocks per ``(cell, k)``, all stamped with one global
-``(index version, unindexed-set version)``. Earlier caches on the same
-hot path had stamps that missed a class of invalidating change:
+A scan reads two kinds of cached candidate block. Static blocks
+(``D2DMedium._static_blocks``) hold the static endpoints of the 3×3
+index cells around one cell and are evicted only by static churn within
+one cell of their key. Mover blocks (``D2DMedium._mover_blocks``) hold
+the movers of ``(2k+1)²`` cells plus the unindexed set, keyed
+``(cell, k)`` under one global ``(mover-index version, unindexed
+version)`` stamp. Earlier caches on the same hot path had stamps that
+missed a class of invalidating change:
 
 1. A sorted-candidate cache stamped ``(index version, endpoint count)``
    was blind to *unindexed-set churn*. Unregistering one unindexable
@@ -15,6 +19,8 @@ hot path had stamps that missed a class of invalidating change:
 3. Once the last mover unregistered, the drift bound kept its old speed,
    so scan slack grew with the time since the last index refresh and
    every scan merged ever more cells.
+4. One global stamp over every block meant any mover crossing any cell
+   rebuilt every block, static-only ones included.
 """
 
 from __future__ import annotations
@@ -115,14 +121,37 @@ class TestVectorBlockStamp:
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
-        mover = D2DEndpoint("mover", LinearMobility((5.0, 0.0), (1.0, 0.0)))
+        # silent, in the next cell east: scans from there after the unregister
+        medium.register(D2DEndpoint("watcher", StaticMobility((65.0, 0.0))))
+        # silent and far off, but it keeps the mover blocks in use once the
+        # mover is gone
+        medium.register(D2DEndpoint("free", UnboundedMobility((1000.0, 0.0))))
+        # 40 m out in the scanner's cell at t=2, 55 m out in the next at t=5
+        mover = D2DEndpoint("mover", LinearMobility((30.0, 0.0), (5.0, 0.0)))
         mover.advertising = True
         medium.register(mover)
-        assert "mover" in medium._index
+        assert "mover" in medium._mover_index
+        assert "mover" not in medium._static_index
+        assert [p.device_id for p in _scan(medium, sim, "scanner", 3.0)] == ["mover"]
+        statics = dict(medium._static_blocks)
+        assert statics
+        # the mover rebins into the next cell: a new mover stamp, and the
+        # static blocks survive it
+        stamp = medium._mover_blocks_stamp
+        assert [p.device_id for p in _scan(medium, sim, "scanner", 6.0)] == []
+        assert medium._mover_blocks_stamp != stamp
+        assert medium._static_blocks == statics
+        # 5 m from the watcher at t=8: found, and the watcher's cell now
+        # has a cached mover block holding it
+        assert [p.device_id for p in _scan(medium, sim, "watcher", 9.0)] == ["mover"]
+        statics = dict(medium._static_blocks)
         medium.unregister("mover")
-        assert "mover" not in medium._index
-        assert [p.device_id for p in _scan(medium, sim, "scanner", 3.0)] == []
-
+        assert "mover" not in medium._mover_index
+        assert medium._static_blocks == statics
+        # it would stand 20 m from the watcher at t=11: a mover block
+        # left stale by the unregister would still return it
+        assert [p.device_id for p in _scan(medium, sim, "watcher", 12.0)] == []
+        assert medium.perf.vector_block_builds == 2
 
     def test_same_instant_churn_matches_the_oracle(self, brute_force):
         """Ghost-style churn: between scans, peers leave and come back
@@ -144,6 +173,8 @@ class TestVectorBlockStamp:
             sim = Simulator(seed=4)
             medium = D2DMedium(sim, WIFI_DIRECT)
             medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
+            # four cells east of every ghost: outside their 3×3 neighbourhoods
+            medium.register(D2DEndpoint("far", StaticMobility((205.0, 0.0))))
             for i in range(4):
                 place(medium, "ghost", i, 0.0)
                 place(medium, "free", i, 0.0)
@@ -151,6 +182,7 @@ class TestVectorBlockStamp:
             for round_no in range(6):
                 found = _scan(medium, sim, "scanner", 10.0 * round_no + 3.0)
                 observations.append([(p.device_id, p.rssi_dbm) for p in found])
+                _scan(medium, sim, "far", 10.0 * round_no + 6.0)
                 kind = "ghost" if round_no % 2 == 0 else "free"
                 shift = 40.0 if round_no % 4 < 2 else 0.0
                 for i in range(4):
@@ -159,26 +191,121 @@ class TestVectorBlockStamp:
             return medium, observations
 
         medium, indexed = run()
-        assert medium.perf.vector_block_builds == 6
+        # static churn evicts only its 3×3 neighbourhood: the scanner's
+        # block is rebuilt after each of the three ghost rounds, the far
+        # scanner's block is built once
+        assert medium.perf.vector_block_builds == 1 + 3 + 1
+        assert (4, 0) in medium._static_blocks
         with brute_force():
             __, brute = run()
         assert indexed == brute
         # the shifted rounds drop peers out of range: the churn is visible
         assert len({len(found) for found in indexed}) > 1
 
+class TestSplitBlocks:
+    def test_crossing_movers_and_churn_match_the_oracle(self, brute_force):
+        """Movers cross index cells between scans while statics and
+        unindexed peers churn: every scan — statics and movers scanning
+        as same-instant cohorts — must see exactly the oracle's peers,
+        RSSI draws and order."""
+
+        def run():
+            sim = Simulator(seed=7)
+            medium = D2DMedium(sim, WIFI_DIRECT)
+            scanners = []
+            for i in range(9):
+                device_id = f"static-{i}"
+                peer = D2DEndpoint(
+                    device_id, StaticMobility((40.0 * (i % 3) + 5.0, 40.0 * (i // 3) + 5.0))
+                )
+                peer.advertising = True
+                medium.register(peer)
+                scanners.append(device_id)
+            for i in range(6):
+                device_id = f"mover-{i}"
+                velocity = ((-1.0) ** i * (4.0 + i), 3.0 - i)
+                peer = D2DEndpoint(
+                    device_id, LinearMobility((60.0 + 7.0 * i, 50.0 - 9.0 * i), velocity)
+                )
+                peer.advertising = True
+                medium.register(peer)
+                scanners.append(device_id)
+            for i in range(2):
+                peer = D2DEndpoint(f"free-{i}", UnboundedMobility((30.0 + 50.0 * i, 60.0)))
+                peer.advertising = True
+                medium.register(peer)
+            observations = []
+            # the mover index only changes by rebins here: no mover churns
+            rebins = []
+            for round_no in range(8):
+                results = {}
+                for device_id in scanners:
+                    medium.discover(device_id, results.setdefault(device_id, []).extend)
+                sim.run_until(5.0 * round_no + 3.0)
+                rebins.append(medium._mover_index._version)
+                observations.append(
+                    {
+                        device_id: [
+                            (p.device_id, p.rssi_dbm, p.estimated_distance_m)
+                            for p in found
+                        ]
+                        for device_id, found in results.items()
+                    }
+                )
+                # churn: one static moves across a cell edge, one
+                # unindexed peer is swapped for a newcomer
+                moved = f"static-{round_no % 9}"
+                x, y = medium.endpoint(moved).position(sim.now)
+                medium.unregister(moved)
+                peer = D2DEndpoint(moved, StaticMobility((x + 23.0, y)))
+                peer.advertising = True
+                medium.register(peer)
+                medium.unregister(f"free-{round_no % 2}" if round_no < 2 else f"free-{round_no}")
+                peer = D2DEndpoint(
+                    f"free-{round_no + 2}", UnboundedMobility((20.0 * round_no, 45.0))
+                )
+                peer.advertising = True
+                medium.register(peer)
+                sim.run_until(5.0 * round_no + 5.0)
+            return medium, observations, rebins
+
+        medium, indexed, rebins = run()
+        with brute_force():
+            __, brute, __ = run()
+        assert indexed == brute
+        # not vacuous: movers crossed cells and were found, statics kept
+        # some blocks across rounds
+        assert len(set(rebins)) > 4
+        assert any(
+            device_id.startswith("mover-")
+            for round_obs in indexed
+            for found in round_obs.values()
+            for device_id, __, __ in found
+        )
+        assert medium.perf.vector_block_builds < medium.perf.scans / 2
+
+
 class TestBlockCacheBound:
     def test_block_cache_stays_bounded_under_sustained_movement(self):
         """A mover scanning from ever-new cells must not accumulate one
-        coordinate block per cell it ever visited."""
+        coordinate block per cell it ever visited: the cells past the
+        rock's neighbourhood hold no static, so no static block is kept
+        for them, and each rebin clears the mover blocks."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         medium.register(D2DEndpoint("walker", LinearMobility((0.0, 0.0), (15.0, 0.0))))
         medium.register(D2DEndpoint("rock", StaticMobility((5.0, 0.0))))
+        stamps = set()
         for step in range(1, 201):
             # crosses a 50 m cell boundary every few scans
             _scan(medium, sim, "walker", step * 2.0)
-            assert len(medium._vector_blocks) <= 2
-        assert medium.perf.vector_block_builds > 50
+            assert len(medium._mover_blocks) <= 2
+            stamps.add(medium._mover_blocks_stamp)
+        # the mover blocks were rebuilt at every rebin ...
+        assert len(stamps) > 50
+        # ... while only the walker's first two cells see the rock
+        assert sorted(medium._static_blocks) == [(0, 0), (1, 0)]
+        assert medium.perf.vector_block_builds == 2
 
     def test_block_cache_still_serves_repeat_queries(self):
         """Eviction on stamp moves must not cost the static-crowd win:
@@ -188,9 +315,9 @@ class TestBlockCacheBound:
         for device_id, pos in (("a", (10.0, 10.0)), ("b", (20.0, 10.0))):
             medium.register(D2DEndpoint(device_id, StaticMobility(pos)))
         _scan(medium, sim, "a", 3.0)
-        first = dict(medium._vector_blocks)
+        first = dict(medium._static_blocks)
         _scan(medium, sim, "b", 6.0)
-        assert medium._vector_blocks == first
+        assert medium._static_blocks == first
         assert medium.perf.vector_block_builds == 1
 
 
@@ -226,7 +353,8 @@ class TestMoverRefresh:
 class TestMoverSlack:
     def test_slack_drops_to_zero_once_the_last_mover_leaves(self, brute_force):
         """With no movers there is no drift: a scan long after the last
-        mover unregistered must merge only the 3x3 cells of its own range
+        mover unregistered must build its mover block (here: just the
+        unindexed endpoint) from the 3x3 cells of its own range
         (``k == 1``), not ``speed × elapsed`` worth of extra rings."""
 
         def run():
@@ -236,6 +364,8 @@ class TestMoverSlack:
             peer = D2DEndpoint("peer", StaticMobility((5.0, 0.0)))
             peer.advertising = True
             medium.register(peer)
+            # silent, so it keeps a mover block alive without being found
+            medium.register(D2DEndpoint("free", UnboundedMobility((8.0, 0.0))))
             medium.register(
                 D2DEndpoint("mover", LinearMobility((10.0, 0.0), (1.5, 0.0)))
             )
@@ -245,7 +375,8 @@ class TestMoverSlack:
             return medium, [(p.device_id, p.rssi_dbm) for p in found]
 
         medium, indexed = run()
-        assert [k for __, k in medium._vector_blocks] == [1]
+        assert medium._max_mobile_speed == 0.0
+        assert [k for __, k in medium._mover_blocks] == [1]
         with brute_force():
             __, brute = run()
         assert indexed == brute

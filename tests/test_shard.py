@@ -8,6 +8,7 @@ from repro.cellular.network import (
     cell_distances,
     grid_cell_positions,
     nearest_cell,
+    nearest_cells,
 )
 from repro.cli import main
 from repro.mobility.models import StaticMobility
@@ -38,14 +39,42 @@ class TestGridCellPositions:
             grid_cell_positions(100.0, 40.0, 0, 2)
 
 
+def _home_shard(plan, position):
+    """Scalar oracle: the shard owning the cell nearest ``position``."""
+    return plan.cell_shards[nearest_cell(plan.cell_positions, position)]
+
+
 class TestShardPlan:
     def test_home_shard_by_position(self):
         # uniform weights on a 4x2 grid: the tie-break prefers the x cut,
         # so columns 0-1 go to shard 0 and columns 2-3 to shard 1
         plan = ShardPlan(2, 4, 2, 400.0, 100.0)
         assert plan.cell_shards == [0, 0, 1, 1, 0, 0, 1, 1]
-        assert plan.shard_of_position((10.0, 50.0)) == 0
-        assert plan.shard_of_position((390.0, 50.0)) == 1
+        assert _home_shard(plan, (10.0, 50.0)) == 0
+        assert _home_shard(plan, (390.0, 50.0)) == 1
+
+    def test_home_cells_follow_the_scalar_attachment_rule(self):
+        params = CrowdShardParams(
+            n_devices=60, arena_w=400.0, arena_h=100.0, hotspots=4,
+            hotspot_spread_m=40.0, mobile_fraction=0.2, n_shards=2,
+        )
+        layout = params.layout()
+        home_cells = params.home_cells(layout)
+        plan = params.plan(home_cells)
+        assert home_cells == [
+            nearest_cell(plan.cell_positions, m.position(0.0))
+            for m in layout.mobilities
+        ]
+        assert params.plan().cell_shards == plan.cell_shards
+        # each shard builds exactly the devices the scalar rule homes in it
+        for shard_index in range(params.n_shards):
+            shard = _ShardState(shard_index, params)
+            assert {
+                int(device_id.rsplit("-", 1)[1]) for device_id in shard.devices
+            } == {
+                i for i, m in enumerate(layout.mobilities)
+                if _home_shard(plan, m.position(0.0)) == shard_index
+            }
 
     def test_border_shards_near_and_far(self, border_oracle):
         plan = ShardPlan(2, 4, 2, 400.0, 100.0)
@@ -79,10 +108,10 @@ class TestCellOccupancy:
             (80.0, 10.0),   # nearest cell 1
             (50.0, 10.0),   # equidistant -> first cell wins
         ]
-        assert cell_occupancy(cells, points) == [2, 1]
+        assert cell_occupancy(nearest_cells(cells, points), len(cells)) == [2, 1]
 
     def test_empty_crowd_gives_zero_weights(self):
-        assert cell_occupancy([(1.0, 1.0), (2.0, 2.0)], []) == [0, 0]
+        assert cell_occupancy(nearest_cells([(1.0, 1.0), (2.0, 2.0)], []), 2) == [0, 0]
 
 
 def _shards_are_rectangles(cell_shards, cells_x, cells_y):
@@ -420,10 +449,9 @@ class TestHotspotCrowdBalance:
     def _device_skew(self):
         params = CrowdShardParams(**self.GEOMETRY)
         layout = params.layout()
-        plan = params.plan(layout)
-        weights = cell_occupancy(
-            plan.cell_positions, [m.position(0.0) for m in layout.mobilities]
-        )
+        home_cells = params.home_cells(layout)
+        plan = params.plan(home_cells)
+        weights = cell_occupancy(home_cells, len(plan.cell_positions))
         per_shard = [0.0] * plan.n_shards
         for cell, shard in enumerate(plan.cell_shards):
             per_shard[shard] += weights[cell]
