@@ -19,7 +19,7 @@ import math
 import operator
 import random
 import types
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Set
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as _np
 
@@ -319,7 +319,7 @@ class D2DConnection:
 
 
 class _CandidateBlock:
-    """Aligned arrays for one cached block of scan candidates.
+    """Aligned arrays for one block of scan candidates.
 
     ``ids`` (an object array), ``seqs`` (int64 registration sequence
     numbers) and the ``xs``/``ys`` coordinates, one entry per candidate.
@@ -327,46 +327,29 @@ class _CandidateBlock:
     requester scanning from the same cell.
 
     A *static* block is sorted by registration sequence and bakes its
-    coordinates in at build time. A *mover* block lists its endpoints in
-    ``_movers`` and re-reads their coordinates once per instant, before
-    the first numpy distance evaluation at that instant; its order
-    carries no meaning, since the scan sorts mover survivors by ``seqs``.
+    coordinates in at build time. The *mover* block holds every mover in
+    registration order; :class:`D2DMedium` replaces its coordinates once
+    per instant.
     """
 
-    __slots__ = ("ids", "seqs", "xs", "ys", "_movers", "_t")
+    __slots__ = ("ids", "seqs", "xs", "ys")
 
-    def __init__(self, ids, seqs, xs, ys, movers=None) -> None:
+    def __init__(self, ids, seqs, xs, ys) -> None:
         self.ids = _np.array(ids, dtype=object)
         self.seqs = _np.array(seqs, dtype=_np.int64)
         self.xs = _np.array(xs, dtype=_np.float64)
         self.ys = _np.array(ys, dtype=_np.float64)
-        self._movers = movers
-        #: instant the mover coordinates were last read at
-        self._t: Optional[float] = None
 
-    def distances_from(self, origin: Position, t: float):
-        """The block distances to ``origin`` at ``t`` as one numpy array.
-
-        Mover coordinates are refreshed only when ``t`` differs from the
-        last refresh. That is exact: mobility models are analytic (random
-        waypoint caches its legs), so two reads at one instant agree and
-        draw nothing, and a same-instant cohort of scans sharing the block
-        reads its movers once.
+    def distances_from(self, origin: Position):
+        """The block distances to ``origin`` as one numpy array.
 
         ``sqrt(dx*dx + dy*dy)`` elementwise is the exact IEEE-754
         operation sequence :func:`repro.mobility.space.distance_between`
         performs (sub, mul, mul, add, sqrt — each correctly rounded), so
         every element is bit-identical to a per-peer scalar distance.
         """
-        xs = self.xs
-        ys = self.ys
-        movers = self._movers
-        if movers is not None and t != self._t:
-            for i, endpoint in enumerate(movers):
-                xs[i], ys[i] = endpoint.position(t)
-            self._t = t
-        dx = xs - origin[0]
-        dy = ys - origin[1]
+        dx = self.xs - origin[0]
+        dy = self.ys - origin[1]
         return _np.sqrt(dx * dx + dy * dy)
 
 
@@ -376,6 +359,12 @@ _NO_STATICS = _CandidateBlock([], [], [], [])
 
 class D2DMedium:
     """The shared D2D radio environment for one technology.
+
+    Discovery splits endpoints by their mobility model's speed bound.
+    Statics (a zero bound) sit in a spatial index and reach scans through
+    cached per-cell blocks. Every other endpoint is a mover: movers are
+    never indexed, and each scan range-filters all of them in one numpy
+    pass over coordinates computed once per instant (see :meth:`_scan`).
 
     Parameters
     ----------
@@ -404,12 +393,6 @@ class D2DMedium:
         formations — stays exact.
     group_join_discount:
         Fraction of the connection latency/energy a join costs.
-    index_refresh_s:
-        How stale the binned positions of *moving* endpoints may get
-        before a scan triggers an incremental re-bin pass. Between
-        passes, queries widen by ``max mobile speed × staleness`` so a
-        mover can never escape its candidate cells unseen. Static
-        endpoints are binned once and never touched.
     channel:
         Optional interference-aware channel model. When set, data
         transfers run at Shannon-capacity rates under co-channel
@@ -427,7 +410,6 @@ class D2DMedium:
         allow_undeployed: bool = False,
         group_aware: bool = False,
         group_join_discount: float = 0.5,
-        index_refresh_s: float = 1.0,
         channel: Optional[ChannelModel] = None,
     ) -> None:
         if not 0.0 < group_join_discount <= 1.0:
@@ -439,15 +421,12 @@ class D2DMedium:
                 f"{technology.name} is not deployed in the modelled network; "
                 "pass allow_undeployed=True to simulate it anyway"
             )
-        if index_refresh_s <= 0:
-            raise ValueError(f"index_refresh_s must be positive, got {index_refresh_s}")
         self.sim = sim
         self.technology = technology
         self.profile = profile
         self.link_check_period_s = link_check_period_s
         self.group_aware = group_aware
         self.group_join_discount = group_join_discount
-        self.index_refresh_s = index_refresh_s
         self.channel = channel
         if channel is not None:
             # SINR evaluation reads co-channel transmitters' *current*
@@ -463,11 +442,10 @@ class D2DMedium:
         #: on every scan. Clearing this dict (tests do) falls back to live
         #: position lookups.
         self._static_pos: Dict[str, Position] = {}
-        #: registration order per device — candidate sets from the spatial
-        #: indexes are re-sorted by this so scans examine peers in exactly
-        #: the order a full walk of ``_endpoints`` would, keeping RSSI
-        #: noise draws and result ordering independent of the index.
-        #: ``_next_seq`` is monotonic (never reused after unregister), so
+        #: registration order per device — scan survivors are ordered by
+        #: this so scans examine peers in exactly the order a full walk of
+        #: ``_endpoints`` would, keeping RSSI noise draws and result
+        #: ordering independent of the blocks. ``_next_seq`` is monotonic (never reused after unregister), so
         #: two different registration histories can never collide on a
         #: sequence number.
         self._seq: Dict[str, int] = {}
@@ -478,35 +456,21 @@ class D2DMedium:
         self._static_index = SpatialIndex(technology.max_range_m)
         #: index cell → the static block of the 3×3 cells around it. A
         #: static register/unregister evicts only the blocks of the 3×3
-        #: cells around the static's own cell, and mover motion evicts
-        #: nothing. Empty blocks are never stored, so the dict is bounded
-        #: by the static crowd's footprint.
+        #: cells around the static's own cell, and movers evict nothing.
+        #: Empty blocks are never stored, so the dict is bounded by the
+        #: static crowd's footprint.
         self._static_blocks: Dict[tuple, _CandidateBlock] = {}
-        #: endpoints with a finite, nonzero speed bound, rebinned lazily
-        self._mover_index = SpatialIndex(technology.max_range_m)
-        #: (cell, k) → the mover block: the movers of the ``(2k+1)²``
-        #: cells around ``cell`` (range plus drift slack) and the whole
-        #: unindexed set. One global stamp, (mover-index version,
-        #: unindexed version), covers the dict, so any mover crossing a
-        #: cell or any mover/unindexed churn clears it outright.
-        self._mover_blocks: Dict[tuple, _CandidateBlock] = {}
-        self._mover_blocks_stamp: Optional[tuple] = None
-        #: the movers by id; refresh passes evaluate them through a
-        #: TrajectoryBatch rebuilt whenever the membership version moves
-        self._mobile: Dict[str, D2DEndpoint] = {}
-        self._mobile_version = 0
-        self._mobile_batch: Optional[TrajectoryBatch] = None
-        self._mobile_batch_version = -1
-        #: endpoints whose mobility model has no known speed bound: the
-        #: index can't promise they stay near their bin, so scans always
-        #: examine them exactly. ``_unindexed_version`` bumps on every
-        #: membership change of this set — it is the mover-block stamp's
-        #: second component because unindexed churn never touches the
-        #: index version.
-        self._unindexed: Set[str] = set()
-        self._unindexed_version = 0
-        self._max_mobile_speed = 0.0
-        self._last_refresh_s = sim.now
+        #: every endpoint whose speed bound is nonzero or unknown, in
+        #: registration order. Movers are not indexed: each scan
+        #: range-filters all of them in one numpy pass over the mover
+        #: block, whose coordinates come from one TrajectoryBatch call per
+        #: instant. Every mover register and unregister drops block and
+        #: batch; the next scan rebuilds them.
+        self._movers: Dict[str, D2DEndpoint] = {}
+        self._mover_block: Optional[_CandidateBlock] = None
+        self._mover_batch: Optional[TrajectoryBatch] = None
+        #: instant the mover block's coordinates were computed at
+        self._mover_block_t: Optional[float] = None
         #: insertion-ordered live-connection set and per-endpoint adjacency
         #: (dicts as ordered sets: O(1) add/remove, stable iteration)
         self._connections: Dict[D2DConnection, None] = {}
@@ -529,51 +493,33 @@ class D2DMedium:
         self._seq[device_id] = self._next_seq
         self._next_seq += 1
         self._endpoints[device_id] = endpoint
-        max_speed = endpoint.mobility.max_speed_m_s()
-        if max_speed is None:
-            self._unindexed.add(device_id)
-            self._unindexed_version += 1
+        if endpoint.mobility.max_speed_m_s() != 0.0:
+            self._movers[device_id] = endpoint
+            self._mover_block = None
             return
+        # a zero speed bound means the position is time-invariant:
+        # memoise it once and spare every future scan the call.
         position = endpoint.position(self.sim.now)
-        if max_speed == 0.0:
-            # a zero speed bound means the position is time-invariant:
-            # memoise it once and spare every future scan the call.
-            self._static_pos[device_id] = position
-            self._evict_static_blocks(self._static_index.insert(device_id, position))
-            return
-        self._mover_index.insert(device_id, position)
-        self._mobile[device_id] = endpoint
-        self._mobile_version += 1
-        if max_speed > self._max_mobile_speed:
-            self._max_mobile_speed = max_speed
+        self._static_pos[device_id] = position
+        self._evict_static_blocks(self._static_index.insert(device_id, position))
 
     def unregister(self, device_id: str) -> None:
         """Remove an endpoint from the medium entirely.
 
         Breaks its live connections, then drops every trace of it —
-        endpoint map, registration sequence, static memo, mobile set,
-        unindexed set, spatial indexes. The sharded kernel churns ghost
-        endpoints (statics) through this every sync window, so a static
-        evicts the static blocks around its cell, while a mover moves the
-        mover-index version and an unindexed endpoint
-        ``_unindexed_version``, either of which clears the mover blocks.
+        endpoint map, registration sequence, static memo, spatial index,
+        mover set. The sharded kernel churns ghost endpoints (statics)
+        through this every sync window, so a static evicts only the
+        static blocks around its cell; a mover drops the mover block,
+        which the next scan rebuilds.
         """
         self.endpoint(device_id)  # keep the unknown-device KeyError contract
         for connection in list(self._adjacency.get(device_id, ())):
             self._break_connection(connection, "peer unregistered")
         del self._endpoints[device_id]
         del self._seq[device_id]
-        if device_id in self._unindexed:
-            self._unindexed.discard(device_id)
-            self._unindexed_version += 1
-            return
-        if self._mobile.pop(device_id, None) is not None:
-            self._mobile_version += 1
-            self._mover_index.remove(device_id)
-            # _max_mobile_speed stays a (possibly loose) upper bound while
-            # movers remain: queries only ever widen, so candidate
-            # supersets remain supersets. _refresh_index drops it once
-            # the last leaves.
+        if self._movers.pop(device_id, None) is not None:
+            self._mover_block = None
             return
         self._static_pos.pop(device_id, None)
         self._evict_static_blocks(self._static_index.remove(device_id))
@@ -723,11 +669,11 @@ class D2DMedium:
         """Advertising, reachable peers in range of ``origin`` at ``t``.
 
         The candidates come in two shared blocks: the static block of the
-        origin's cell and the mover block of ``(cell, k)``. One numpy
-        pass over each computes every candidate distance and discards the
-        out-of-range majority in C; the survivors of both are merged by
-        registration sequence. Reordering the range filter ahead of the
-        advertising filter is safe for determinism because the survivor
+        origin's cell and the mover block, which holds every mover. One
+        numpy pass over each computes every candidate distance and
+        discards the out-of-range majority in C; the survivors of both
+        are merged by registration sequence. Reordering the range filter
+        ahead of the advertising filter is safe for determinism because the survivor
         set of *all* filters — the only candidates that reach the RSSI
         noise draw — is order-independent, and survivors are visited in
         registration order, exactly as a walk over every endpoint would
@@ -743,19 +689,17 @@ class D2DMedium:
         could flip a candidate in or out of range and desynchronize the
         RSSI noise stream from the oracle's per-peer walk.
         """
-        self._refresh_index(t)
-        cell = self._static_index._cell_of(origin)
         max_range = self.technology.max_range_m
-        statics = self._static_block_for(cell, origin)
-        distances = statics.distances_from(origin, t)
+        statics = self._static_block_for(origin)
+        distances = statics.distances_from(origin)
         keep = _np.nonzero(distances <= max_range)[0]
         ids = statics.ids[keep]
         distances = distances[keep]
         examined = len(statics.ids)
-        movers = self._mover_block_for(cell, origin, t)
+        movers = self._mover_block_at(t)
         if movers is not None:
             examined += len(movers.ids)
-            mover_distances = movers.distances_from(origin, t)
+            mover_distances = movers.distances_from(origin)
             mover_keep = _np.nonzero(mover_distances <= max_range)[0]
             if len(mover_keep):
                 order = _np.argsort(
@@ -807,14 +751,15 @@ class D2DMedium:
             )
         return found
 
-    def _static_block_for(self, cell, origin: Position) -> _CandidateBlock:
-        """The static block for scans from ``cell``: every static endpoint
-        of the 3×3 cells around it, coordinates baked in.
+    def _static_block_for(self, origin: Position) -> _CandidateBlock:
+        """The static block for scans from ``origin``'s index cell: every
+        static endpoint of the 3×3 cells around it, coordinates baked in.
 
         Built on first use and kept until a static registers or
-        unregisters within one cell of ``cell``; mover motion never
-        touches it. An empty block is not stored.
+        unregisters within one cell of that cell; movers never touch it.
+        An empty block is not stored.
         """
+        cell = self._static_index._cell_of(origin)
         block = self._static_blocks.get(cell)
         if block is not None:
             return block
@@ -840,84 +785,33 @@ class D2DMedium:
         perf.vector_block_builds += 1
         return block
 
-    def _mover_block_for(
-        self, cell, origin: Position, t: float
-    ) -> Optional[_CandidateBlock]:
-        """The mover block for scans from ``cell`` at ``t``, or ``None``
-        when the medium holds no mover and no unindexed endpoint.
+    def _mover_block_at(self, t: float) -> Optional[_CandidateBlock]:
+        """Every mover with its coordinates at ``t``, or ``None`` when the
+        medium holds no mover.
 
-        The block merges the mover index's ``(2k+1)²`` candidate cells
-        (range + drift slack) with the always-checked unindexed set. The
-        whole dict is cleared when the stamp moves: every mover register
-        and unregister and every cross-cell rebin bumps the mover-index
-        version, and unindexed churn bumps ``_unindexed_version``, so a
-        stamp match means no block membership changed.
+        The block (ids and seqs in registration order) and its
+        :class:`TrajectoryBatch` are rebuilt after the mover set changed;
+        the coordinates are recomputed once per instant, which is exact
+        because mobility is analytic, so a same-instant cohort of scans
+        pays for them once.
         """
-        if not self._mobile and not self._unindexed:
+        movers = self._movers
+        if not movers:
             return None
-        index = self._mover_index
-        max_range = self.technology.max_range_m
-        slack = self._max_mobile_speed * (t - self._last_refresh_s)
-        k = max(0, math.ceil((max_range + slack) / index.cell_size_m))
-        stamp = (index._version, self._unindexed_version)
-        blocks = self._mover_blocks
-        if stamp != self._mover_blocks_stamp:
-            blocks.clear()
-            self._mover_blocks_stamp = stamp
-        key = (cell, k)
-        block = blocks.get(key)
-        if block is not None:
-            return block
-        ids = index.query_block(origin, max_range, slack)
-        # movers and unindexed endpoints are disjoint, so no duplicates;
-        # unsorted, since _scan orders mover survivors by ``seqs``
-        ids.extend(self._unindexed)
-        seq = self._seq
-        endpoints = self._endpoints
-        zeros = [0.0] * len(ids)
-        block = _CandidateBlock(
-            ids,
-            [seq[device_id] for device_id in ids],
-            zeros,
-            zeros,
-            movers=[endpoints[device_id] for device_id in ids],
-        )
-        blocks[key] = block
-        self.perf.index_queries += 1
-        return block
-
-    def _refresh_index(self, t: float) -> None:
-        """Re-bin moving endpoints once their drift bound grows stale.
-
-        Positions come from a :class:`TrajectoryBatch` so blocks of
-        straight-line movers are evaluated in one numpy multiply-add
-        instead of N ``position()`` calls. Update order (affine block
-        first, then the exact remainder) differs from dict order, but the
-        index only bins candidates — scans re-sort by registration
-        sequence — so discovery output is unaffected.
-
-        With no movers left there is no drift, so the speed bound drops to
-        zero; kept, it would widen every later scan by ``speed × time since
-        the last mover left`` without limit.
-        """
-        if not self._mobile:
-            self._max_mobile_speed = 0.0
-            return
-        if t - self._last_refresh_s < self.index_refresh_s:
-            return
-        index = self._mover_index
-        batch = self._mobile_batch
-        if batch is None or self._mobile_batch_version != self._mobile_version:
-            batch = TrajectoryBatch(
-                [(d, ep.mobility) for d, ep in self._mobile.items()]
+        block = self._mover_block
+        if block is None:
+            ids = list(movers)
+            seq = self._seq
+            block = _CandidateBlock(ids, [seq[device_id] for device_id in ids], (), ())
+            self._mover_block = block
+            self._mover_batch = TrajectoryBatch(
+                [endpoint.mobility for endpoint in movers.values()]
             )
-            self._mobile_batch = batch
-            self._mobile_batch_version = self._mobile_version
-        update = index.update
-        for device_id, x, y in batch.positions_at(t):
-            update(device_id, (x, y))
-        self._last_refresh_s = t
-        self.perf.index_updates = index.updates
+            self._mover_block_t = None
+        if t != self._mover_block_t:
+            block.xs, block.ys = self._mover_batch.positions(t)
+            self._mover_block_t = t
+        return block
 
     # ------------------------------------------------------------------
     # connection establishment

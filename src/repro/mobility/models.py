@@ -196,92 +196,119 @@ class RandomWaypointMobility(MobilityModel):
         return self.speed_range[1]
 
 
-def affine_params(
-    model: MobilityModel,
-) -> Optional[Tuple[float, float, float, float]]:
-    """``(x0, y0, vx, vy)`` if ``position(t) == (x0 + vx·t, y0 + vy·t)``
-    exactly for all ``t``, else ``None``.
-
-    Only unclamped straight-line motion qualifies: an arena-clamped
-    :class:`LinearMobility` stops being affine the moment it hits a wall,
-    and :class:`RandomWaypointMobility` is piecewise (and mutates lazy
-    segment state on queries), so both take the exact per-model fallback.
-    """
-    if isinstance(model, StaticMobility):
-        x, y = model._position
-        return (x, y, 0.0, 0.0)
-    if isinstance(model, LinearMobility) and model.arena is None:
-        return (*model.start, *model._velocity)
-    return None
-
-
 class TrajectoryBatch:
-    """Batched ``position(t)`` over a fixed set of mobility models.
+    """``position(t)`` of a fixed list of mobility models as two arrays.
 
-    Splits the set into an affine block — evaluated as ``x0 + vx·t`` with
-    one numpy multiply-add per axis, the *same* IEEE-754 sequence
-    :meth:`LinearMobility.position` performs, so results are bit-identical
-    to per-model calls — and an exact remainder evaluated model by model.
-    Built once per membership change; ``positions_at`` is the per-tick
-    call. Below ``min_block`` affine members everything runs the exact
-    path, so the batch is always safe to use.
+    :meth:`positions` returns ``(xs, ys)`` float64 arrays in member
+    order, every element bit-identical to ``model.position(t)``:
+
+    - unclamped :class:`LinearMobility` is ``x0 + vx·t`` per axis, the
+      IEEE-754 sequence :meth:`LinearMobility.position` performs;
+    - :class:`RandomWaypointMobility` keeps each member's current leg in
+      arrays (``t_start``, ``pause_until``, ``t_end``, origin, target)
+      and evaluates all legs with :meth:`_Segment.position`'s sequence.
+      A member whose cached leg does not cover ``t`` (``t_start <= t <
+      t_end``, so time order is not assumed) reloads that row from the
+      model's own ``_segment_for(t)``, which draws from the model's RNG
+      exactly as a scalar query would. The cover is open at ``t_end``
+      because there a scalar query answers from the next leg once it
+      exists, which differs when that leg's travel time vanishes;
+    - every other model (clamped walks, no speed bound, statics) takes
+      the exact scalar ``position(t)`` call.
+
+    Built once per membership change; :meth:`positions` is the
+    per-instant call.
     """
 
-    def __init__(
-        self,
-        members: Sequence[Tuple[str, MobilityModel]],
-        min_block: int = 8,
-    ) -> None:
-        affine_ids: List[str] = []
-        x0: List[float] = []
-        y0: List[float] = []
-        vx: List[float] = []
-        vy: List[float] = []
-        exact: List[Tuple[str, MobilityModel]] = []
-        for key, model in members:
-            params = affine_params(model)
-            if params is None:
-                exact.append((key, model))
+    def __init__(self, models: Sequence[MobilityModel]) -> None:
+        self._n = len(models)
+        linear_rows: List[int] = []
+        linear: List[Tuple[float, float, float, float]] = []
+        walk_rows: List[int] = []
+        self._walks: List[RandomWaypointMobility] = []
+        self._exact: List[Tuple[int, MobilityModel]] = []
+        for row, model in enumerate(models):
+            kind = type(model)
+            if kind is LinearMobility and model.arena is None:
+                linear_rows.append(row)
+                linear.append((*model.start, *model._velocity))
+            elif kind is RandomWaypointMobility:
+                walk_rows.append(row)
+                self._walks.append(model)
             else:
-                affine_ids.append(key)
-                x0.append(params[0])
-                y0.append(params[1])
-                vx.append(params[2])
-                vy.append(params[3])
-        if len(affine_ids) < min_block:
-            # not worth the numpy call overhead — fold back into exact
-            exact = list(members)
-            affine_ids = []
-        self._exact = exact
-        self._affine_ids = affine_ids
-        if affine_ids:
-            self._x0 = _np.array(x0)
-            self._y0 = _np.array(y0)
-            self._vx = _np.array(vx)
-            self._vy = _np.array(vy)
+                self._exact.append((row, model))
+        self._linear_rows = _np.array(linear_rows, dtype=_np.intp)
+        self._x0, self._y0, self._vx, self._vy = (
+            _np.array(linear, dtype=_np.float64).reshape(-1, 4).T.copy()
+        )
+        self._walk_rows = _np.array(walk_rows, dtype=_np.intp)
+        n_walks = len(walk_rows)
+        # each walk's current leg: an empty leg (start +inf, end -inf)
+        # covers no instant, so every walk loads its leg on the first call
+        self._t_start = _np.full(n_walks, _np.inf)
+        self._t_end = _np.full(n_walks, -_np.inf)
+        self._pause_until = _np.zeros(n_walks)
+        self._travel_s = _np.ones(n_walks)
+        self._ox = _np.zeros(n_walks)
+        self._oy = _np.zeros(n_walks)
+        self._dx = _np.zeros(n_walks)
+        self._dy = _np.zeros(n_walks)
+        self._tx = _np.zeros(n_walks)
+        self._ty = _np.zeros(n_walks)
+        #: every cached leg covers ``[_covered_from, _covered_until)``
+        self._covered_from = _np.inf
+        self._covered_until = -_np.inf
 
     def __len__(self) -> int:
-        return len(self._affine_ids) + len(self._exact)
+        return self._n
 
-    @property
-    def affine_count(self) -> int:
-        return len(self._affine_ids)
+    def positions(self, t: float) -> Tuple[_np.ndarray, _np.ndarray]:
+        """``(xs, ys)`` of every member at ``t``, in member order."""
+        xs = _np.empty(self._n)
+        ys = _np.empty(self._n)
+        if len(self._linear_rows):
+            xs[self._linear_rows] = self._x0 + self._vx * t
+            ys[self._linear_rows] = self._y0 + self._vy * t
+        if self._walks:
+            xs[self._walk_rows], ys[self._walk_rows] = self._walk_positions(t)
+        for row, model in self._exact:
+            xs[row], ys[row] = model.position(t)
+        return xs, ys
 
-    def positions_at(self, t: float) -> List[Tuple[str, float, float]]:
-        """``(key, x, y)`` for every member at time ``t``.
+    def _walk_positions(self, t: float) -> Tuple[_np.ndarray, _np.ndarray]:
+        if not self._covered_from <= t < self._covered_until:
+            self._load_legs(t)
+        pause_until = self._pause_until
+        waiting = t <= pause_until
+        arrived = t >= self._t_end
+        frac = (t - pause_until) / self._travel_s
+        ox, oy = self._ox, self._oy
+        xs = _np.where(waiting, ox, _np.where(arrived, self._tx, ox + self._dx * frac))
+        ys = _np.where(waiting, oy, _np.where(arrived, self._ty, oy + self._dy * frac))
+        return xs, ys
 
-        Affine members first (batch order), then the exact remainder —
-        callers that need a specific order should not rely on this one.
+    def _load_legs(self, t: float) -> None:
+        """Reload the rows whose cached leg does not cover ``t``.
+
+        ``dx``, ``dy`` and ``travel_s`` are the differences
+        :meth:`_Segment.position` computes on every call, computed once
+        per leg with the same float operations. A zero-travel leg stores
+        a travel time of 1: past its pause ``t > pause_until == t_end``,
+        so ``arrived`` masks its ``frac`` and the divisor is never used.
         """
-        out: List[Tuple[str, float, float]] = []
-        if self._affine_ids:
-            xs = (self._x0 + self._vx * t).tolist()
-            ys = (self._y0 + self._vy * t).tolist()
-            out.extend(zip(self._affine_ids, xs, ys))
-        for key, model in self._exact:
-            x, y = model.position(t)
-            out.append((key, x, y))
-        return out
+        stale = _np.nonzero((t < self._t_start) | (t >= self._t_end))[0]
+        for i in stale.tolist():
+            leg = self._walks[i]._segment_for(t)
+            (ox, oy), (tx, ty) = leg.origin, leg.target
+            self._t_start[i] = leg.t_start
+            self._pause_until[i] = leg.pause_until
+            self._t_end[i] = leg.t_end
+            self._travel_s[i] = (leg.t_end - leg.pause_until) or 1.0
+            self._ox[i], self._oy[i] = ox, oy
+            self._dx[i], self._dy[i] = tx - ox, ty - oy
+            self._tx[i], self._ty[i] = tx, ty
+        self._covered_from = self._t_start.max()
+        self._covered_until = self._t_end.min()
 
 
 def place_crowd(

@@ -3,7 +3,7 @@
 The scaling work (spatial-index discovery, the event-kernel fast path) is
 only trustworthy if it is *observable*: this module is the one place hot
 paths book what they did — scans, candidates examined per scan, index
-queries and updates — so the repo benchmark (``python -m bench``) and
+queries — so the repo benchmark (``python -m bench``) and
 `RunMetrics` can report a perf trajectory instead of anecdotes.
 
 Counters are plain integer attributes bumped inline (no locks, no dict
@@ -30,7 +30,6 @@ class PerfCounters:
         "scan_candidates_examined",
         "scan_peers_returned",
         "index_queries",
-        "index_updates",
         "vectorized_scans",
         "vector_block_builds",
         "_timers",
@@ -43,12 +42,10 @@ class PerfCounters:
         self.scan_candidates_examined = 0
         #: peers actually returned to scan callbacks
         self.scan_peers_returned = 0
-        #: block queries issued to the static and mover spatial indexes:
-        #: every static-block build, every static lookup from a cell with
-        #: no static within one cell (never cached), every mover-block build
+        #: block queries issued to the static spatial index: every
+        #: static-block build and every lookup from a cell with no static
+        #: within one cell (never cached). Movers are not indexed.
         self.index_queries = 0
-        #: incremental position updates applied to the index
-        self.index_updates = 0
         #: scans whose distance math ran on the numpy block path (every
         #: scan; kept while bench reports read it)
         self.vectorized_scans = 0
@@ -73,7 +70,6 @@ class PerfCounters:
             "scan_candidates_examined": self.scan_candidates_examined,
             "scan_peers_returned": self.scan_peers_returned,
             "index_queries": self.index_queries,
-            "index_updates": self.index_updates,
             "vectorized_scans": self.vectorized_scans,
             "vector_block_builds": self.vector_block_builds,
         }

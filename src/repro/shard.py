@@ -81,7 +81,7 @@ from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.metrics import DeliveryMetrics, RunMetrics, collect_metrics
-from repro.mobility.models import StaticMobility
+from repro.mobility.models import StaticMobility, TrajectoryBatch
 from repro.mobility.space import Arena, Position
 from repro.scenarios import DEFAULT_DRAIN_S, CrowdLayout, build_crowd, crowd_layout
 from repro.sim.engine import Simulator
@@ -400,6 +400,9 @@ class _ShardState:
                 statics.append(device)
             else:
                 self._movers.append(device)
+        self._mover_batch = TrajectoryBatch(
+            [device.mobility for device in self._movers]
+        )
         positions = [device.mobility.position(0.0) for device in statics]
         targets: List[List[int]] = []
         for start in range(0, len(positions), _STATIC_ROWS):
@@ -460,7 +463,8 @@ class _ShardState:
         # the movers' positions and one movers × cells distance matrix
         # serve both passes
         t = self.sim.now
-        positions = [device.mobility.position(t) for device in self._movers]
+        xs, ys = self._mover_batch.positions(t)
+        positions = list(zip(xs.tolist(), ys.tolist()))
         distances = cell_distances(self.plan.cell_positions, positions)
         self.handover_pass(positions, distances)
         report = self.border_report(positions, distances)

@@ -1,13 +1,14 @@
 """Regression tests for latent discovery-cache bugs.
 
-A scan reads two kinds of cached candidate block. Static blocks
+A scan reads two candidate blocks. Static blocks
 (``D2DMedium._static_blocks``) hold the static endpoints of the 3×3
 index cells around one cell and are evicted only by static churn within
-one cell of their key. Mover blocks (``D2DMedium._mover_blocks``) hold
-the movers of ``(2k+1)²`` cells plus the unindexed set, keyed
-``(cell, k)`` under one global ``(mover-index version, unindexed
-version)`` stamp. Earlier caches on the same hot path had stamps that
-missed a class of invalidating change:
+one cell of their key. Movers — every endpoint whose speed bound is
+nonzero or unknown — are not indexed: the one mover block
+(``D2DMedium._mover_block``) holds all of them in registration order, is
+rebuilt when the mover set changes and gets fresh coordinates once per
+instant. Earlier caches on the same hot path had stamps that missed a
+class of invalidating change:
 
 1. A sorted-candidate cache stamped ``(index version, endpoint count)``
    was blind to *unindexed-set churn*. Unregistering one unindexable
@@ -18,7 +19,7 @@ missed a class of invalidating change:
    querying from ever-new cells grew the cache without bound.
 3. Once the last mover unregistered, the drift bound kept its old speed,
    so scan slack grew with the time since the last index refresh and
-   every scan merged ever more cells.
+   every scan merged ever more cells (movers were still indexed then).
 4. One global stamp over every block meant any mover crossing any cell
    rebuilt every block, static-only ones included.
 """
@@ -36,8 +37,8 @@ from repro.sim.engine import Simulator
 class UnboundedMobility(MobilityModel):
     """Fixed position but no speed bound — unindexable on purpose.
 
-    ``max_speed_m_s`` inherits the base class ``None``, which routes the
-    endpoint into the medium's always-checked unindexed side set.
+    ``max_speed_m_s`` inherits the base class ``None``, which makes the
+    endpoint a mover whose position the medium reads by a scalar call.
     """
 
     def __init__(self, position):
@@ -130,23 +131,22 @@ class TestVectorBlockStamp:
         mover = D2DEndpoint("mover", LinearMobility((30.0, 0.0), (5.0, 0.0)))
         mover.advertising = True
         medium.register(mover)
-        assert "mover" in medium._mover_index
+        assert list(medium._movers) == ["free", "mover"]
         assert "mover" not in medium._static_index
         assert [p.device_id for p in _scan(medium, sim, "scanner", 3.0)] == ["mover"]
         statics = dict(medium._static_blocks)
         assert statics
-        # the mover rebins into the next cell: a new mover stamp, and the
-        # static blocks survive it
-        stamp = medium._mover_blocks_stamp
+        # the mover walks into the next cell: the mover block is kept
+        # (motion only refreshes its coordinates) and so are the statics
+        block = medium._mover_block
         assert [p.device_id for p in _scan(medium, sim, "scanner", 6.0)] == []
-        assert medium._mover_blocks_stamp != stamp
+        assert medium._mover_block is block
         assert medium._static_blocks == statics
-        # 5 m from the watcher at t=8: found, and the watcher's cell now
-        # has a cached mover block holding it
+        # 5 m from the watcher at t=8: found through the same block
         assert [p.device_id for p in _scan(medium, sim, "watcher", 9.0)] == ["mover"]
         statics = dict(medium._static_blocks)
         medium.unregister("mover")
-        assert "mover" not in medium._mover_index
+        assert list(medium._movers) == ["free"]
         assert medium._static_blocks == statics
         # it would stand 20 m from the watcher at t=11: a mover block
         # left stale by the unregister would still return it
@@ -235,14 +235,21 @@ class TestSplitBlocks:
                 peer.advertising = True
                 medium.register(peer)
             observations = []
-            # the mover index only changes by rebins here: no mover churns
-            rebins = []
+            # the index cell of every linear mover, per round
+            mover_cells = []
             for round_no in range(8):
                 results = {}
                 for device_id in scanners:
                     medium.discover(device_id, results.setdefault(device_id, []).extend)
                 sim.run_until(5.0 * round_no + 3.0)
-                rebins.append(medium._mover_index._version)
+                mover_cells.append(
+                    tuple(
+                        medium._static_index._cell_of(
+                            medium.endpoint(f"mover-{i}").position(sim.now)
+                        )
+                        for i in range(6)
+                    )
+                )
                 observations.append(
                     {
                         device_id: [
@@ -267,15 +274,15 @@ class TestSplitBlocks:
                 peer.advertising = True
                 medium.register(peer)
                 sim.run_until(5.0 * round_no + 5.0)
-            return medium, observations, rebins
+            return medium, observations, mover_cells
 
-        medium, indexed, rebins = run()
+        medium, indexed, mover_cells = run()
         with brute_force():
             __, brute, __ = run()
         assert indexed == brute
         # not vacuous: movers crossed cells and were found, statics kept
         # some blocks across rounds
-        assert len(set(rebins)) > 4
+        assert len(set(mover_cells)) > 4
         assert any(
             device_id.startswith("mover-")
             for round_obs in indexed
@@ -290,20 +297,24 @@ class TestBlockCacheBound:
         """A mover scanning from ever-new cells must not accumulate one
         coordinate block per cell it ever visited: the cells past the
         rock's neighbourhood hold no static, so no static block is kept
-        for them, and each rebin clears the mover blocks."""
+        for them, and the one mover block is never rebuilt by motion."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         medium.register(D2DEndpoint("walker", LinearMobility((0.0, 0.0), (15.0, 0.0))))
         medium.register(D2DEndpoint("rock", StaticMobility((5.0, 0.0))))
-        stamps = set()
-        for step in range(1, 201):
+        _scan(medium, sim, "walker", 2.0)
+        block = medium._mover_block
+        cells = set()
+        for step in range(2, 201):
             # crosses a 50 m cell boundary every few scans
             _scan(medium, sim, "walker", step * 2.0)
-            assert len(medium._mover_blocks) <= 2
-            stamps.add(medium._mover_blocks_stamp)
-        # the mover blocks were rebuilt at every rebin ...
-        assert len(stamps) > 50
-        # ... while only the walker's first two cells see the rock
+            assert medium._mover_block is block
+            assert block.ids.tolist() == ["walker"]
+            assert block.xs.tolist() == [15.0 * medium._mover_block_t]
+            cells.add(medium._static_index._cell_of((block.xs[0], block.ys[0])))
+        # the walker crossed some 120 cells ...
+        assert len(cells) > 100
+        # ... while only its first two cells see the rock
         assert sorted(medium._static_blocks) == [(0, 0), (1, 0)]
         assert medium.perf.vector_block_builds == 2
 
@@ -323,10 +334,9 @@ class TestBlockCacheBound:
 
 class TestMoverRefresh:
     def test_reused_block_rereads_its_movers_at_a_new_instant(self, brute_force):
-        """A block outlives the instant it was built at: a mover drifting
-        inside one index cell keeps the stamp and the block, so a later
-        scan must re-read the mover's coordinates, not serve the ones
-        baked in at the first scan."""
+        """The mover block outlives the instant it was built at: with the
+        mover set unchanged it is kept, so a later scan must recompute
+        the mover's coordinates, not serve those of the first scan."""
 
         def run():
             sim = Simulator(seed=1)
@@ -351,11 +361,14 @@ class TestMoverRefresh:
 
 
 class TestMoverSlack:
+    """Named for the drift slack movers needed while they were indexed.
+    No mover is indexed now, so no slack exists; these pin the scans that
+    slack had to get right."""
+
     def test_slack_drops_to_zero_once_the_last_mover_leaves(self, brute_force):
-        """With no movers there is no drift: a scan long after the last
-        mover unregistered must build its mover block (here: just the
-        unindexed endpoint) from the 3x3 cells of its own range
-        (``k == 1``), not ``speed × elapsed`` worth of extra rings."""
+        """A scan long after the last walking mover unregistered sees a
+        mover block of just the unbounded endpoint, and the oracle's
+        peers."""
 
         def run():
             sim = Simulator(seed=1)
@@ -375,22 +388,22 @@ class TestMoverSlack:
             return medium, [(p.device_id, p.rssi_dbm) for p in found]
 
         medium, indexed = run()
-        assert medium._max_mobile_speed == 0.0
-        assert [k for __, k in medium._mover_blocks] == [1]
+        assert list(medium._movers) == ["free"]
+        assert medium._mover_block.ids.tolist() == ["free"]
         with brute_force():
             __, brute = run()
         assert indexed == brute
         assert [device_id for device_id, __ in indexed] == ["peer"]
 
     def test_slack_covers_a_mover_that_drifted_into_range(self, brute_force):
-        """Between index refreshes a mover's bin goes stale; the scan's
-        widened reach must still find it once it has drifted in range."""
+        """A mover out of range when it registered must be found once it
+        has drifted in range."""
 
         def run():
             sim = Simulator(seed=1)
-            medium = D2DMedium(sim, WIFI_DIRECT, index_refresh_s=10.0)
+            medium = D2DMedium(sim, WIFI_DIRECT)
             medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
-            # binned two cells west at t=0, 40 m out when the scan completes
+            # two cells west at t=0, 40 m out when the scan completes
             mover = D2DEndpoint("mover", LinearMobility((-60.0, 0.0), (10.0, 0.0)))
             mover.advertising = True
             medium.register(mover)
@@ -402,3 +415,50 @@ class TestMoverSlack:
             brute = run()
         assert indexed == brute
         assert [device_id for device_id, __ in indexed] == ["mover"]
+
+
+class TestMoverChurn:
+    def test_same_instant_mover_churn_is_seen_by_the_next_scan(self, brute_force):
+        """Three scans complete at one instant. After the first, two
+        movers register; after the second, a mover leaves. Each later
+        scan must see the new mover set, though an earlier one already
+        computed mover coordinates for that instant."""
+
+        def run():
+            sim = Simulator(seed=3)
+            medium = D2DMedium(sim, WIFI_DIRECT)
+            for device_id in ("scanner-a", "scanner-b", "scanner-c"):
+                medium.register(D2DEndpoint(device_id, StaticMobility((0.0, 0.0))))
+            leaving = D2DEndpoint("leaving", LinearMobility((10.0, 0.0), (1.0, 0.0)))
+            leaving.advertising = True
+            medium.register(leaving)
+            scans = {device_id: [] for device_id in ("scanner-a", "scanner-b", "scanner-c")}
+
+            def arrive(found):
+                scans["scanner-a"].extend(found)
+                for peer in (
+                    D2DEndpoint("walker", LinearMobility((0.0, 20.0), (0.0, 1.0))),
+                    D2DEndpoint("free", UnboundedMobility((0.0, -30.0))),
+                ):
+                    peer.advertising = True
+                    medium.register(peer)
+
+            def leave(found):
+                scans["scanner-b"].extend(found)
+                medium.unregister("leaving")
+
+            medium.discover("scanner-a", arrive)
+            medium.discover("scanner-b", leave)
+            medium.discover("scanner-c", scans["scanner-c"].extend)
+            sim.run_until(3.0)
+            return [[(p.device_id, p.rssi_dbm) for p in found] for found in scans.values()]
+
+        indexed = run()
+        with brute_force():
+            brute = run()
+        assert indexed == brute
+        assert [sorted(device_id for device_id, __ in found) for found in indexed] == [
+            ["leaving"],
+            ["free", "leaving", "walker"],
+            ["free", "walker"],
+        ]

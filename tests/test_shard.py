@@ -377,7 +377,7 @@ class TestSmallShardedRun:
         assert perf["timer_shard-sync_s"] > 0
         for key in (
             "scans", "scan_candidates_examined", "scan_peers_returned",
-            "vectorized_scans", "index_queries", "index_updates",
+            "vectorized_scans", "index_queries",
         ):
             assert key in perf, key
         assert perf["scans"] > 0

@@ -51,23 +51,6 @@ class TestMembership:
         assert len(index) == 1
         assert set(index.query_neighbors((15.0, 15.0), 50.0)) == {"b"}
 
-    def test_update_rebins_across_cells(self):
-        index = SpatialIndex(50.0)
-        index.insert("a", (10.0, 10.0))
-        version = index._version
-        index.update("a", (210.0, 210.0))
-        assert set(index.query_neighbors((10.0, 10.0), 50.0)) == set()
-        assert set(index.query_neighbors((210.0, 210.0), 50.0)) == {"a"}
-        assert index._version == version + 1
-
-    def test_update_within_cell_is_a_noop_move(self):
-        index = SpatialIndex(50.0)
-        index.insert("a", (10.0, 10.0))
-        version = index._version
-        index.update("a", (12.0, 12.0))
-        assert index._version == version
-        assert set(index.query_neighbors((10.0, 10.0), 50.0)) == {"a"}
-
 
 class TestQueryNeighbors:
     def test_returns_superset_of_exact_answer(self):
@@ -84,18 +67,10 @@ class TestQueryNeighbors:
         exact = _brute_within(positions, origin, radius)
         assert exact <= candidates
 
-    def test_slack_widens_the_disc(self):
-        index = SpatialIndex(50.0)
-        index.insert("edge", (149.0, 0.0))
-        # Cell (2, 0) is outside the unexpanded 50 m cover from (0, 0)...
-        assert "edge" not in index.query_neighbors((10.0, 0.0), 50.0)
-        # ...but slack pulls it into the candidate set.
-        assert "edge" in index.query_neighbors((10.0, 0.0), 50.0, slack_m=60.0)
-
     def test_negative_reach_returns_nothing(self):
         index = SpatialIndex(50.0)
         index.insert("a", (0.0, 0.0))
-        assert index.query_neighbors((0.0, 0.0), 10.0, slack_m=-20.0) == []
+        assert index.query_neighbors((0.0, 0.0), -10.0) == []
 
     def test_negative_coordinates(self):
         index = SpatialIndex(50.0)
@@ -137,16 +112,19 @@ class TestQueryBlock:
         assert set(index.query_block((12.0, 12.0), 50.0)) == {"b"}
 
     def test_cross_cell_move_invalidates_cache(self):
+        # a static moves by leaving and re-entering at its new position
         index = SpatialIndex(50.0)
         index.insert("a", (10.0, 10.0))
         index.query_block((12.0, 12.0), 50.0)
-        index.update("a", (510.0, 510.0))
+        index.remove("a")
+        index.insert("a", (510.0, 510.0))
         assert index.query_block((12.0, 12.0), 50.0) == []
+        assert index.query_block((505.0, 505.0), 50.0) == ["a"]
 
     def test_negative_reach_returns_nothing(self):
         index = SpatialIndex(50.0)
         index.insert("a", (0.0, 0.0))
-        assert index.query_block((0.0, 0.0), 10.0, slack_m=-20.0) == []
+        assert index.query_block((0.0, 0.0), -10.0) == []
 
 
 class TestDiagnostics:
