@@ -32,7 +32,9 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.channel.rb import RBLease
+import numpy as np
+
+from repro.channel.rb import RBLease, ResourceBlockPool
 from repro.d2d.link import LinkModel
 from repro.mobility.space import Position
 
@@ -139,43 +141,82 @@ class RBAllocator:
         raise NotImplementedError
 
     def pick(
-        self,
-        request: LinkRequest,
-        active: Sequence[RBLease],
-        num_rbs: int,
-        link: LinkModel,
+        self, request: LinkRequest, pool: ResourceBlockPool, link: LinkModel
     ) -> int:
-        """Block for one newcomer given the currently live leases."""
+        """Block for one newcomer given the pool's live leases."""
         raise NotImplementedError
 
 
+#: Blocks whose vector cost lies within this relative distance of the
+#: least one are re-priced exactly before the pick. The vector and the
+#: scalar power forms agree to ~1e-13 relative, so the exact least-cost
+#: block is always among them.
+NEAR_TIE_REL = 1e-9
+
+
+def _exact_block_cost(
+    request: LinkRequest, leases: Sequence[RBLease], link: LinkModel
+) -> float:
+    """Added interference on one block, in the scalar arithmetic.
+
+    Each lease's transmitter heard at the newcomer's receiver plus the
+    newcomer's transmitter heard at the lease's receiver, summed in
+    grant order as ``(total + heard) + caused``: the sum the reference
+    per-block walk makes, bit for bit.
+    """
+    heard_mw = received_mw_block(
+        link, request.rx_pos, [lease.tx_pos for lease in leases]
+    )
+    caused_mw = received_mw_block(
+        link, request.tx_pos, [lease.rx_pos for lease in leases]
+    )
+    total = 0.0
+    for heard, caused in zip(heard_mw, caused_mw):
+        total = total + heard + caused
+    return total
+
+
 def _greedy_pick(
-    request: LinkRequest,
-    active: Sequence[RBLease],
-    num_rbs: int,
-    link: LinkModel,
+    request: LinkRequest, pool: ResourceBlockPool, link: LinkModel
 ) -> int:
     """Least-added-interference block; ties break to the lowest index.
 
-    A block's cost is what the newcomer would trade with the leases on
-    it: each lease's transmitter heard at the newcomer's receiver plus
-    the newcomer's transmitter heard at the lease's receiver. One pass
-    over ``active`` in grant order adds both terms into the lease's
-    block as ``(total + heard) + caused`` — the same summation order as
-    walking each block's leases on their own, so costs and tie-breaks
-    are those of the per-block walk, in O(live leases).
+    One numpy pass over the pool's lease arrays prices every block. A
+    path's mean power is ``K * d ** -n`` for the link's constant ``K``
+    and path-loss exponent ``n``, so ``max(d², 1e-4) ** (-n/2)`` (the
+    0.01 m clamp included) ranks blocks as the dBm arithmetic does, up
+    to rounding. A single block within :data:`NEAR_TIE_REL` of the least
+    vector cost is the pick. Otherwise the near-tied blocks are summed
+    again in :func:`_exact_block_cost` and the lowest-index least one
+    wins, so the pick is that of the scalar per-block walk.
     """
-    heard_mw = received_mw_block(
-        link, request.rx_pos, [lease.tx_pos for lease in active]
-    )
-    caused_mw = received_mw_block(
-        link, request.tx_pos, [lease.rx_pos for lease in active]
-    )
-    totals = [0.0] * num_rbs
-    for lease, heard, caused in zip(active, heard_mw, caused_mw):
-        rb = lease.rb
-        totals[rb] = totals[rb] + heard + caused
-    return min(range(num_rbs), key=totals.__getitem__)
+    if not len(pool):
+        return 0
+    num_rbs = pool.num_rbs
+    geom, blocks = pool.lease_arrays()
+    (tx_x, tx_y), (rx_x, rx_y) = request.tx_pos, request.rx_pos
+    # row 0 of d2: each lease's transmitter to the newcomer's receiver
+    # (heard); row 1: the newcomer's transmitter to each lease's receiver
+    # (caused)
+    delta = geom - np.array((rx_x, tx_x, rx_y, tx_y))[:, None]
+    delta *= delta
+    d2 = delta[:2] + delta[2:]
+    np.maximum(d2, 1e-4, out=d2)
+    d2 **= -0.5 * link.path_loss_exponent
+    costs = np.bincount(
+        blocks, weights=d2[0] + d2[1], minlength=num_rbs + 1
+    ).tolist()
+    del costs[num_rbs:]  # the sentinel bin of free slots
+    limit = min(costs) * (1.0 + NEAR_TIE_REL)
+    tied = [rb for rb, cost in enumerate(costs) if cost <= limit]
+    if len(tied) == 1:
+        return tied[0]
+    best_rb, best_cost = tied[0], float("inf")
+    for rb in tied:
+        cost = _exact_block_cost(request, pool.co_channel(rb), link)
+        if cost < best_cost:
+            best_rb, best_cost = rb, cost
+    return best_rb
 
 
 class CentralizedAllocator(RBAllocator):
@@ -206,13 +247,9 @@ class CentralizedAllocator(RBAllocator):
         return self._greedy(ordered, num_rbs, link)
 
     def pick(
-        self,
-        request: LinkRequest,
-        active: Sequence[RBLease],
-        num_rbs: int,
-        link: LinkModel,
+        self, request: LinkRequest, pool: ResourceBlockPool, link: LinkModel
     ) -> int:
-        return _greedy_pick(request, active, num_rbs, link)
+        return _greedy_pick(request, pool, link)
 
     # ------------------------------------------------------------------
     def _exhaustive(
@@ -446,11 +483,7 @@ class MessagePassingAllocator(RBAllocator):
         return {r.link_id: rb for r, rb in zip(ordered, choice)}
 
     def pick(
-        self,
-        request: LinkRequest,
-        active: Sequence[RBLease],
-        num_rbs: int,
-        link: LinkModel,
+        self, request: LinkRequest, pool: ResourceBlockPool, link: LinkModel
     ) -> int:
         """Admit one link by joining the distributed consensus.
 
@@ -460,6 +493,7 @@ class MessagePassingAllocator(RBAllocator):
         newcomer around the incumbents rather than advising moves they
         cannot make.
         """
+        active = pool.live_leases()
         if not active:
             return 0
         requests = [
@@ -468,7 +502,7 @@ class MessagePassingAllocator(RBAllocator):
         ]
         pins = {lease.lease_id: lease.rb for lease in active}
         requests.append(request)
-        joint = self._allocate(requests, num_rbs, link, pins)
+        joint = self._allocate(requests, pool.num_rbs, link, pins)
         return joint[request.link_id]
 
     # ------------------------------------------------------------------

@@ -176,13 +176,15 @@ class ChannelModel:
         resolver = self.position_resolver
         if resolver is None:
             return
-        for lease in self.pool.movable_leases():
+        pool = self.pool
+        for lease in pool.movable_leases():
             tx = resolver(lease.tx_id, now)
-            if tx is not None:
-                lease.tx_pos = tx
             rx = resolver(lease.rx_id, now)
-            if rx is not None:
-                lease.rx_pos = rx
+            pool.move(
+                lease,
+                lease.tx_pos if tx is None else tx,
+                lease.rx_pos if rx is None else rx,
+            )
 
     # ------------------------------------------------------------------
     def solo_sinr_db(self, distance_m: float) -> float:
@@ -291,9 +293,8 @@ class ChannelModel:
         lease_id = f"{sender_id}->{receiver_id}"
         lease = self.pool.get(lease_id)
         if lease is None:
-            request = LinkRequest(lease_id, tx_pos, rx_pos)
             rb = self.allocator.pick(
-                request, self.pool.live_leases(), cfg.num_rbs, self.link
+                LinkRequest(lease_id, tx_pos, rx_pos), self.pool, self.link
             )
             lease = RBLease(
                 lease_id=lease_id,
@@ -308,8 +309,7 @@ class ChannelModel:
             )
             self.pool.grant(lease, now)
         else:
-            lease.tx_pos = tx_pos
-            lease.rx_pos = rx_pos
+            self.pool.move(lease, tx_pos, rx_pos)
 
         interferers = self.pool.co_channel(lease.rb, exclude_id=lease_id)
         interferer_mws = received_mw_block(

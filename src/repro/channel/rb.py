@@ -13,7 +13,10 @@ what the physics property suite pins) is honest bookkeeping:
   bucket, and per-block occupancy always sums to the live-lease count.
 
 The pool also integrates busy time per block so a run can report RB
-utilization as a time-weighted fraction rather than a point sample.
+utilization as a time-weighted fraction rather than a point sample, and
+keeps the live leases' geometry in slot-aligned numpy arrays, so an
+allocator can price every block against every live lease in one vector
+pass (:meth:`ResourceBlockPool.lease_arrays`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.mobility.space import Position
+
+#: Slots the lease arrays start with; they double whenever they fill up.
+_INITIAL_SLOTS = 64
 
 
 @dataclasses.dataclass
@@ -33,7 +41,9 @@ class RBLease:
     also moves a movable lease's endpoints to their current positions
     before every SINR evaluation, so interference against it is exact.
     A ``fixed`` lease has two static endpoints: its positions never
-    change, so the channel never re-resolves them.
+    change, so the channel never re-resolves them. Once the lease is
+    granted, move it with :meth:`ResourceBlockPool.move`, which keeps the
+    pool's lease arrays in step.
     """
 
     lease_id: str
@@ -61,6 +71,16 @@ class ResourceBlockPool:
         self._by_rb: List[Dict[str, RBLease]] = [{} for _ in range(num_rbs)]
         #: the live leases that are not ``fixed``, in grant order
         self._movable: Dict[str, RBLease] = {}
+        #: Slot-aligned lease geometry, rows tx_x, rx_x, tx_y, rx_y, and
+        #: each slot's block. A lease holds one slot from grant to
+        #: release; a freed slot sits in the sentinel block ``num_rbs``
+        #: until a grant reuses it, and so do slots never used yet.
+        self._geom = np.zeros((4, _INITIAL_SLOTS))
+        self._slot_rb = np.full(_INITIAL_SLOTS, num_rbs, dtype=np.intp)
+        self._slot_of: Dict[str, int] = {}
+        self._free_slots: List[int] = []
+        #: slots ever handed out: ``[0, _used)`` holds every live slot
+        self._used = 0
         # busy-time integral: active-lease-seconds accumulated per block
         self._busy_s: List[float] = [0.0] * num_rbs
         self._last_event_s = 0.0
@@ -86,6 +106,17 @@ class ResourceBlockPool:
     def movable_leases(self) -> List[RBLease]:
         """Snapshot of the live leases that are not ``fixed``, in grant order."""
         return list(self._movable.values())
+
+    def lease_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The live leases' geometry as ``(geom, blocks)`` views.
+
+        ``geom`` has rows tx_x, rx_x, tx_y, rx_y and one column per slot;
+        ``blocks`` gives each slot's block, or ``num_rbs`` for a free
+        slot. Slot order is not grant order. Read-only by contract; a
+        grant may reallocate the arrays, so take fresh views after one.
+        """
+        used = self._used
+        return self._geom[:, :used], self._slot_rb[:used]
 
     def co_channel(self, rb: int, exclude_id: Optional[str] = None) -> List[RBLease]:
         """Leases sharing block ``rb`` (the interferer set), in grant order."""
@@ -116,6 +147,16 @@ class ResourceBlockPool:
         self._by_rb[lease.rb][lease.lease_id] = lease
         if not lease.fixed:
             self._movable[lease.lease_id] = lease
+        if self._free_slots:
+            slot = self._free_slots.pop()
+        else:
+            slot = self._used
+            if slot == self._slot_rb.size:
+                self._grow()
+            self._used += 1
+        self._slot_of[lease.lease_id] = slot
+        self._slot_rb[slot] = lease.rb
+        self._write(slot, lease.tx_pos, lease.rx_pos)
         self.grants += 1
         self.peak_live = max(self.peak_live, len(self._leases))
         return lease
@@ -128,8 +169,18 @@ class ResourceBlockPool:
         self._advance(now)
         self._by_rb[lease.rb].pop(lease_id, None)
         self._movable.pop(lease_id, None)
+        slot = self._slot_of.pop(lease_id)
+        self._slot_rb[slot] = self.num_rbs
+        self._free_slots.append(slot)
         self.releases += 1
         return lease
+
+    def move(self, lease: RBLease, tx_pos: Position, rx_pos: Position) -> None:
+        """Set a live lease's endpoint positions, in the lease and in the
+        lease arrays."""
+        lease.tx_pos = tx_pos
+        lease.rx_pos = rx_pos
+        self._write(self._slot_of[lease.lease_id], tx_pos, rx_pos)
 
     def reap_idle(self, now: float, idle_timeout_s: float) -> List[RBLease]:
         """Release every lease idle past ``idle_timeout_s``; returns them."""
@@ -143,6 +194,19 @@ class ResourceBlockPool:
         return expired
 
     # ------------------------------------------------------------------
+    def _write(self, slot: int, tx_pos: Position, rx_pos: Position) -> None:
+        geom = self._geom
+        geom[0, slot], geom[2, slot] = tx_pos
+        geom[1, slot], geom[3, slot] = rx_pos
+
+    def _grow(self) -> None:
+        """Double the lease arrays; new slots start in the sentinel block."""
+        size = self._slot_rb.size
+        self._geom = np.concatenate((self._geom, np.zeros((4, size))), axis=1)
+        self._slot_rb = np.concatenate(
+            (self._slot_rb, np.full(size, self.num_rbs, dtype=np.intp))
+        )
+
     def _advance(self, now: float) -> None:
         """Integrate per-block busy time up to ``now``."""
         dt = now - self._last_event_s
@@ -169,8 +233,10 @@ class ResourceBlockPool:
 
         Returns ``(ok, reason)``: every live lease sits in exactly one
         per-block bucket, buckets only hold live leases, occupancy sums to
-        the live count, and the movable set is exactly the live leases
-        that are not ``fixed``.
+        the live count, the movable set is exactly the live leases that
+        are not ``fixed``, and the lease arrays agree with the lease
+        table — one slot per live lease holding its block and
+        coordinates, every other slot in the sentinel block.
         """
         seen: Dict[str, int] = {}
         for rb, bucket in enumerate(self._by_rb):
@@ -189,6 +255,26 @@ class ResourceBlockPool:
         }
         if set(self._movable) != movable:
             return False, "movable set disagrees with the lease table"
+        return self._audit_arrays()
+
+    def _audit_arrays(self) -> Tuple[bool, str]:
+        if set(self._slot_of) != set(self._leases):
+            return False, "slot table disagrees with the lease table"
+        live_slots = list(self._slot_of.values())
+        slots = live_slots + self._free_slots
+        if sorted(slots) != list(range(self._used)):
+            return False, "live and free slots do not partition the used slots"
+        for lease_id, slot in self._slot_of.items():
+            lease = self._leases[lease_id]
+            if self._slot_rb[slot] != lease.rb:
+                return False, f"slot {slot} of {lease_id!r} is on the wrong block"
+            (tx_x, tx_y), (rx_x, rx_y) = lease.tx_pos, lease.rx_pos
+            if tuple(self._geom[:, slot]) != (tx_x, rx_x, tx_y, rx_y):
+                return False, f"slot {slot} of {lease_id!r} has stale coordinates"
+        parked = np.ones(self._slot_rb.size, dtype=bool)
+        parked[live_slots] = False
+        if (self._slot_rb[parked] != self.num_rbs).any():
+            return False, "a free slot is outside the sentinel block"
         return True, ""
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

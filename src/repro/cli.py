@@ -644,7 +644,7 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
         choices=["centralized", "message-passing"],
         help="resource-block allocator for --channel sinr")
     parser.add_argument(
-        "--num-rbs", type=int, default=6,
+        "--num-rbs", type=_rb_count, default=6,
         help="shared resource blocks for --channel sinr (default 6)")
     parser.add_argument(
         "--shadowing-sigma", type=float, default=None, metavar="DB",
@@ -657,6 +657,16 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
              "rule, default), 'rate' (highest channel-predicted rate) or "
              "'hybrid' (rate near-tie group, shortest distance inside); "
              "rate/hybrid need --channel sinr")
+
+
+def _rb_count(text: str) -> int:
+    """``--num-rbs`` value: an integer of at least one."""
+    rbs = int(text)
+    if rbs < 1:
+        raise argparse.ArgumentTypeError(
+            f"need at least one resource block, got {rbs}"
+        )
+    return rbs
 
 
 def _shard_count(text: str) -> int:

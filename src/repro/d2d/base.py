@@ -19,7 +19,7 @@ import math
 import operator
 import random
 import types
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as _np
 
@@ -163,6 +163,10 @@ class D2DConnection:
         self.messages_lost = 0
         self.bytes_transferred = 0
         self._monitor: Optional[PeriodicProcess] = None
+        #: ``(distance, per, initiator_pos, responder_pos)`` of a pair of
+        #: endpoints with a zero speed bound, priced once at connect;
+        #: ``None`` while either endpoint may move. Set by the medium.
+        self._fixed_link: Optional[Tuple[float, float, Position, Position]] = None
 
     # ------------------------------------------------------------------
     def peer_of(self, device_id: str) -> D2DEndpoint:
@@ -222,22 +226,25 @@ class D2DConnection:
             if on_result is not None:
                 on_result(False)
             return False
-        distance = self.current_distance_m()
-        if distance > self.medium.technology.max_range_m or not self.medium.technology.link.in_range(
-            distance
-        ):
-            self.medium._break_connection(self, "out of range")
-            if on_result is not None:
-                on_result(False)
-            return False
+        tech = self.medium.technology
+        fixed = self._fixed_link
+        if fixed is None:
+            distance = self.current_distance_m()
+            if distance > tech.max_range_m or not tech.link.in_range(distance):
+                self.medium._break_connection(self, "out of range")
+                if on_result is not None:
+                    on_result(False)
+                return False
+            # near the coverage edge, frames are lost probabilistically
+            # (PER); TX/RX energy is still spent — the frame went out, it
+            # just didn't arrive. Zero inside comfortable range, so
+            # calibrated experiments at 1-15 m are unaffected.
+            per = tech.link.packet_error_rate(distance)
+        else:
+            # a fixed pair formed in range stays in range, at one PER
+            distance, per, initiator_pos, responder_pos = fixed
 
         profile = self.medium.profile
-        tech = self.medium.technology
-        # near the coverage edge, frames are lost probabilistically (PER);
-        # TX/RX energy is still spent — the frame went out, it just didn't
-        # arrive. Zero inside comfortable range, so calibrated experiments
-        # at 1-15 m are unaffected.
-        per = tech.link.packet_error_rate(distance)
         lost = per > 0.0 and self.medium.sim.rng.get("d2d-loss").random() < per
         transfer_latency_s = tech.transfer_latency_s
         if control:
@@ -252,18 +259,22 @@ class D2DConnection:
                 # Shannon rate the channel grants, and both sides pay
                 # energy in proportion to the actual airtime (the fixed
                 # per-message base charge is calibrated at d2d_transfer_s).
-                # A pair of static endpoints gets a fixed lease, which the
-                # channel never re-resolves.
-                static = self.medium._static_pos
+                # A fixed pair gets a fixed lease, which the channel
+                # never re-resolves.
+                if fixed is None:
+                    tx_pos, rx_pos = sender.position(now), receiver.position(now)
+                elif sender is self.initiator:
+                    tx_pos, rx_pos = initiator_pos, responder_pos
+                else:
+                    tx_pos, rx_pos = responder_pos, initiator_pos
                 grant = channel.begin_transfer(
                     sender.device_id,
                     receiver.device_id,
-                    sender.position(now),
-                    receiver.position(now),
+                    tx_pos,
+                    rx_pos,
                     size_bytes,
                     now,
-                    fixed=sender.device_id in static
-                    and receiver.device_id in static,
+                    fixed=fixed is not None,
                 )
                 transfer_latency_s = grant.duration_s
                 charge_duration_s = grant.duration_s
@@ -380,8 +391,10 @@ class D2DMedium:
         with an endpoint whose speed bound is nonzero or unknown, and
         every connection while a ``link_gate`` is installed. A pair of
         fixed endpoints formed within range stays within range, so
-        polling it could never break it; power-off and unregister still
-        break it directly, and every send re-checks gate and range.
+        polling it could never break it, and its sends reuse the
+        distance and packet error rate priced at connect; power-off and
+        unregister still break it directly, and every send re-checks the
+        gate (and, for any other pair, range).
     allow_undeployed:
         LTE Direct is modelled but flagged undeployed (the paper abandons
         it "for generality consideration"); using it requires opting in.
@@ -863,7 +876,9 @@ class D2DMedium:
 
         def finish() -> None:
             t = self.sim.now
-            distance = distance_between(initiator.position(t), responder.position(t))
+            initiator_pos = initiator.position(t)
+            responder_pos = responder.position(t)
+            distance = distance_between(initiator_pos, responder_pos)
             if (
                 not responder.powered_on
                 or not initiator.powered_on
@@ -879,13 +894,21 @@ class D2DMedium:
             self._adjacency.setdefault(initiator_id, {})[connection] = None
             self._adjacency.setdefault(responder_id, {})[connection] = None
             self.connections_established += 1
-            # A fixed pair formed in range stays in range: poll only when
-            # an endpoint may move or a gate may veto the link later.
-            if (
-                self._link_gate is not None
-                or initiator.mobility.max_speed_m_s() != 0.0
-                or responder.mobility.max_speed_m_s() != 0.0
-            ):
+            # A fixed pair formed in range stays in range: price its link
+            # once, and poll only when an endpoint may move or a gate may
+            # veto the link later.
+            fixed = (
+                initiator.mobility.max_speed_m_s() == 0.0
+                and responder.mobility.max_speed_m_s() == 0.0
+            )
+            if fixed:
+                connection._fixed_link = (
+                    distance,
+                    tech.link.packet_error_rate(distance),
+                    initiator_pos,
+                    responder_pos,
+                )
+            if self._link_gate is not None or not fixed:
                 connection._monitor = self.sim.every(
                     self.link_check_period_s,
                     self._check_link,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import types
 
 import pytest
 
@@ -116,15 +117,21 @@ def reference_pick():
 def reference_channel():
     """Context manager: inside it, the channel runs its reference form.
 
-    ``with reference_channel(): run()`` replays a run with
-    :func:`reference_greedy_pick` as the centralized allocator's pick and
-    every lease movable, so every live lease is re-resolved on every
-    transfer.
+    ``with reference_channel() as calls: run()`` replays a run with
+    :func:`reference_greedy_pick` as the centralized allocator's pick,
+    over the lease list rebuilt from the pool, and every lease movable,
+    so every live lease is re-resolved on every transfer.
+    ``calls.picks`` counts the reference picks, so a test can prove the
+    channel still reached the patched method.
     """
     original_begin = ChannelModel.begin_transfer
+    calls = types.SimpleNamespace(picks=0)
 
-    def pick(self, request, active, num_rbs, link):
-        return reference_greedy_pick(request, active, num_rbs, link)
+    def pick(self, request, pool, link):
+        calls.picks += 1
+        return reference_greedy_pick(
+            request, pool.live_leases(), pool.num_rbs, link
+        )
 
     def begin_transfer(self, *args, fixed=False, **kwargs):
         return original_begin(self, *args, **kwargs)
@@ -134,7 +141,7 @@ def reference_channel():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CentralizedAllocator, "pick", pick)
             patch.setattr(ChannelModel, "begin_transfer", begin_transfer)
-            yield
+            yield calls
 
     return oracle
 

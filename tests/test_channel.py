@@ -81,6 +81,13 @@ def _lease(lease_id, rb, pos=(0.0, 0.0), now=0.0):
     )
 
 
+def _pool(num_rbs, *leases):
+    pool = ResourceBlockPool(num_rbs)
+    for lease in leases:
+        pool.grant(lease, now=0.0)
+    return pool
+
+
 class TestResourceBlockPool:
     def test_grant_and_release_round_trip(self):
         pool = ResourceBlockPool(4)
@@ -136,6 +143,49 @@ class TestResourceBlockPool:
         ok, reason = pool.audit()
         assert ok, reason
         assert sum(pool.occupancy()) == len(pool)
+
+    def test_lease_arrays_follow_grant_move_and_release(self):
+        pool = _pool(
+            3,
+            _lease("a", 0, pos=(1.0, 2.0)),
+            _lease("b", 1, pos=(3.0, 4.0)),
+            _lease("c", 2, pos=(5.0, 6.0)),
+        )
+        geom, blocks = pool.lease_arrays()
+        assert blocks.tolist() == [0, 1, 2]
+        # rows tx_x, rx_x, tx_y, rx_y
+        assert geom[:, 1].tolist() == [3.0, 3.0, 4.0, 4.0]
+        pool.release("b", now=1.0)
+        assert pool.lease_arrays()[1].tolist() == [0, 3, 2]  # sentinel bin
+        pool.grant(_lease("d", 2, pos=(7.0, 8.0)), now=1.0)
+        geom, blocks = pool.lease_arrays()
+        assert blocks.tolist() == [0, 2, 2]  # d took b's freed slot
+        assert geom[:, 1].tolist() == [7.0, 7.0, 8.0, 8.0]
+        lease = pool.get("d")
+        pool.move(lease, (9.0, 10.0), (11.0, 12.0))
+        assert (lease.tx_pos, lease.rx_pos) == ((9.0, 10.0), (11.0, 12.0))
+        assert pool.lease_arrays()[0][:, 1].tolist() == [9.0, 11.0, 10.0, 12.0]
+        assert pool.audit() == (True, "")
+
+    def test_lease_arrays_double_when_full(self):
+        pool = _pool(4, *(_lease(f"l{i}", i % 4, pos=(i, i)) for i in range(65)))
+        geom, blocks = pool.lease_arrays()
+        assert geom.shape == (4, 65)
+        assert pool._slot_rb.size == 128
+        assert blocks.tolist() == [i % 4 for i in range(65)]
+        assert pool.audit() == (True, "")
+
+    def test_audit_catches_arrays_out_of_step(self):
+        pool = _pool(2, _lease("a", 0), _lease("b", 1))
+        pool.get("a").tx_pos = (5.0, 5.0)  # moved without the pool
+        ok, reason = pool.audit()
+        assert not ok and "stale coordinates" in reason
+        pool.move(pool.get("a"), (5.0, 5.0), (0.0, 0.0))
+        assert pool.audit() == (True, "")
+        pool.release("b", now=1.0)
+        pool._slot_rb[1] = 1  # a freed slot left on its block
+        ok, reason = pool.audit()
+        assert not ok and "sentinel" in reason
 
     def test_rejects_empty_pool(self):
         with pytest.raises(ValueError):
@@ -211,22 +261,22 @@ class TestAllocators:
         )
 
     def test_centralized_pick_avoids_the_occupied_block(self):
-        pool_leases = [_lease("busy", 0, pos=(0.0, 0.0))]
+        pool = _pool(2, _lease("busy", 0, pos=(0.0, 0.0)))
         request = LinkRequest("new", (1.0, 0.0), (2.0, 0.0))
-        rb = CentralizedAllocator().pick(request, pool_leases, 2, self.link)
+        rb = CentralizedAllocator().pick(request, pool, self.link)
         assert rb == 1
 
     def test_message_passing_pick_joins_a_separating_consensus(self):
         # The distributed pick re-runs the joint consensus with live
         # leases pinned to their actual blocks, so the newcomer is the
         # node routed off the shared block.
-        pool_leases = [_lease("zz->zz", 0, pos=(0.0, 0.0))]
+        pool = _pool(2, _lease("zz->zz", 0, pos=(0.0, 0.0)))
         request = LinkRequest("aa->bb", (1.0, 0.0), (2.0, 0.0))
         allocator = MessagePassingAllocator()
-        rb = allocator.pick(request, pool_leases, 2, self.link)
+        rb = allocator.pick(request, pool, self.link)
         assert rb == 1
         # And with no incumbents at all, the lowest block wins.
-        assert allocator.pick(request, [], 2, self.link) == 0
+        assert allocator.pick(request, _pool(2), self.link) == 0
 
     def test_allocators_are_deterministic(self):
         requests = _requests((0.0, 0.0), (7.0, 3.0), (20.0, 8.0))

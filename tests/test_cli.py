@@ -101,6 +101,23 @@ class TestDispatchFlags:
             assert args.keep_going is True
 
 
+class TestBadChannelInput:
+    """A resource-block count below one exits 2 with a message on every
+    command that takes ``--num-rbs``, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["pair", "--channel", "sinr", "--num-rbs", "0"],
+        ["crowd", "--channel", "sinr", "--num-rbs", "0"],
+        ["crowd", "--channel", "sinr", "--num-rbs", "-3"],
+        ["sweep", "--max-periods", "1", "--num-rbs", "0"],
+    ])
+    def test_num_rbs_below_one_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main(command)
+        assert err.value.code == 2
+        assert "at least one resource block" in capsys.readouterr().err
+
+
 class TestBadSweepInput:
     """Malformed sweep/grid input exits 2 with a message, not a traceback
     and never a silently dropped axis."""

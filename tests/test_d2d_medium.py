@@ -425,6 +425,121 @@ class TestLinkSupervision:
         assert breaks == [("link down", tick)]
 
 
+class TestFixedPairSends:
+    """A pair of endpoints with a zero speed bound is priced once.
+
+    ``connect`` records the pair's distance, packet error rate and
+    positions, so its sends read no position and evaluate no path loss;
+    the gate and power checks still run on every send, and a pair with
+    a mover is re-measured on every send as before.
+    """
+
+    @staticmethod
+    def _counted_pair(sim, medium, calls):
+        class CountingStatic(StaticMobility):
+            def position(self, t):
+                calls["position"] += 1
+                return super().position(t)
+
+        for device_id, position in (("ue", (0.0, 0.0)), ("relay", (3.0, 0.0))):
+            medium.register(
+                D2DEndpoint(
+                    device_id, CountingStatic(position),
+                    energy=EnergyModel(owner=device_id),
+                )
+            )
+        holder = []
+        medium.connect("ue", "relay", holder.append)
+        sim.run_until(WIFI_DIRECT.connection_latency_s)
+        return holder[0]
+
+    @pytest.mark.parametrize("channel", [False, True])
+    def test_send_reads_no_position_and_no_path_loss(
+        self, sim, monkeypatch, channel
+    ):
+        from repro.channel.model import ChannelModel
+        from repro.d2d import link as link_module
+
+        medium = D2DMedium(
+            sim, WIFI_DIRECT, channel=ChannelModel() if channel else None
+        )
+        calls = {"position": 0, "rssi_at": 0}
+        connection = self._counted_pair(sim, medium, calls)
+        assert connection._fixed_link is not None
+        rssi_at = link_module.rssi_at
+
+        def counting_rssi_at(*args):
+            calls["rssi_at"] += 1
+            return rssi_at(*args)
+
+        monkeypatch.setattr(link_module, "rssi_at", counting_rssi_at)
+        calls.update(position=0, rssi_at=0)
+        outcomes = []
+        for i in range(4):
+            sender = "ue" if i % 2 == 0 else "relay"
+            assert connection.send(sender, 100, i, on_result=outcomes.append)
+            sim.run_until(sim.now + 1.0)
+        assert outcomes == [True] * 4
+        assert calls["position"] == 0
+        if channel:
+            # the channel prices the grant's SINR from the fixed positions
+            lease = medium.channel.pool.get("relay->ue")
+            assert (lease.tx_pos, lease.rx_pos) == ((3.0, 0.0), (0.0, 0.0))
+        else:
+            assert calls["rssi_at"] == 0
+
+    def test_a_mover_pair_still_breaks_out_of_range_on_send(self, sim, medium):
+        ue = D2DEndpoint("ue", LinearMobility((0.0, 0.0), (30.0, 0.0)))
+        medium.register(ue)
+        medium.register(make_endpoint("relay", advertising=True))
+        holder = []
+        medium.connect("ue", "relay", holder.append)
+        sim.run_until(WIFI_DIRECT.connection_latency_s)
+        connection = holder[0]
+        assert connection._fixed_link is None
+        breaks = []
+        ue.on_disconnect = lambda conn, reason: breaks.append(reason)
+        assert connection.send("ue", 10, "near")
+        sim.run_until(4.0)  # 120 m apart, before the first link check
+        assert connection.send("ue", 10, "far") is False
+        assert breaks == ["out of range"]
+
+    def test_a_gate_breaks_a_fixed_pair_on_its_next_send(self, sim, medium):
+        calls = {"position": 0}
+        connection = self._counted_pair(sim, medium, calls)
+        breaks = []
+        medium.endpoint("ue").on_disconnect = lambda conn, reason: breaks.append(
+            reason
+        )
+        assert connection.send("ue", 10, "open")
+        medium.link_gate = lambda a, b: False
+        outcomes = []
+        assert connection.send("ue", 10, "vetoed", on_result=outcomes.append) is False
+        assert outcomes == [False]
+        assert breaks == ["link down"]
+
+    def test_a_power_off_breaks_a_fixed_pair_on_its_next_send(self, sim, medium):
+        calls = {"position": 0}
+        connection = self._counted_pair(sim, medium, calls)
+        breaks = []
+        medium.endpoint("ue").on_disconnect = lambda conn, reason: breaks.append(
+            reason
+        )
+        # the radio dies without telling the medium
+        medium.endpoint("relay").powered_on = False
+        assert connection.send("ue", 10, "lost") is False
+        assert breaks == ["peer unavailable"]
+
+    def test_a_cleared_static_memo_keeps_the_lease_fixed(self, sim):
+        from repro.channel.model import ChannelModel
+
+        medium = D2DMedium(sim, WIFI_DIRECT, channel=ChannelModel())
+        connection = self._counted_pair(sim, medium, {"position": 0})
+        medium._static_pos.clear()
+        assert connection.send("ue", 100, "x")
+        assert medium.channel.pool.get("ue->relay").fixed is True
+
+
 class TestAdvertisementSafety:
     """Peers see a live read-only view of the advertiser's record — no
     per-scan copies, and no way for a consumer to corrupt the source."""

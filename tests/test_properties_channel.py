@@ -17,10 +17,13 @@ trustworthy as *physics* rather than arbitrary arithmetic:
    the distributed message-passing allocator lands on assignments with
    the same total-interference objective as the exhaustive centralized
    one;
-6. **one-pass pick** — the centralized allocator's one-pass greedy pick
-   chooses exactly the block the per-block reference walk in
-   ``tests/conftest.py`` chooses, and the batched power arithmetic is
-   bit-identical to the per-pair composition.
+6. **vector pick** — the centralized allocator's numpy pick over the
+   pool's lease arrays chooses exactly the block the per-block
+   reference walk in ``tests/conftest.py`` chooses, under any
+   interleaving of grants, releases and moves (slot reuse and array
+   growth included), with near ties settled by the exact scalar sums;
+   and the batched power arithmetic is bit-identical to the per-pair
+   composition.
 
 The ``ci`` settings profile (selected via ``HYPOTHESIS_PROFILE=ci``)
 caps example counts so the suite stays inside a smoke-job budget;
@@ -28,10 +31,12 @@ caps example counts so the suite stays inside a smoke-job budget;
 """
 
 import os
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.channel import allocator as allocator_module
 from repro.channel.allocator import (
     CentralizedAllocator,
     LinkRequest,
@@ -189,7 +194,8 @@ class TestAllocatorEquivalence:
 
 # Coordinates on a coarse grid plus a point 5 mm off the origin, so
 # co-located endpoints (and paths under the 0.01 m clamp) come up often.
-near_coords = st.sampled_from([0.0, 0.005, 1.0, 2.5, 40.0])
+GRID = [0.0, 0.005, 1.0, 2.5, 40.0]
+near_coords = st.sampled_from(GRID)
 clamp_positions = st.one_of(positions, st.tuples(near_coords, near_coords))
 lease_geometries = st.lists(
     st.tuples(clamp_positions, clamp_positions, st.integers(0, 5)),
@@ -197,21 +203,33 @@ lease_geometries = st.lists(
 )
 
 
-def _leases(geometries, num_rbs):
-    return [
-        RBLease(
-            lease_id=f"l{i}", rb=rb % num_rbs, tx_id=f"t{i}", rx_id=f"r{i}",
-            tx_pos=tx, rx_pos=rx, created_s=0.0, busy_until_s=0.0,
+def _pool_of(geometries, num_rbs):
+    pool = ResourceBlockPool(num_rbs)
+    for i, (tx, rx, rb) in enumerate(geometries):
+        pool.grant(
+            RBLease(
+                lease_id=f"l{i}", rb=rb % num_rbs, tx_id=f"t{i}",
+                rx_id=f"r{i}", tx_pos=tx, rx_pos=rx, created_s=0.0,
+                busy_until_s=0.0,
+            ),
+            0.0,
         )
-        for i, (tx, rx, rb) in enumerate(geometries)
-    ]
+    return pool
+
+
+def _picks_like_the_reference(reference_pick, request, pool):
+    picked = CentralizedAllocator().pick(request, pool, LINK)
+    assert picked == reference_pick(
+        request, pool.live_leases(), pool.num_rbs, LINK
+    )
+    return picked
 
 
 class TestGreedyPickOracle:
-    """The one-pass pick sums each block's costs lease by lease in grant
-    order, as ``(total + heard) + caused`` — the order of the
-    per-block reference walk — so it must pick the very same block,
-    tie-breaks included."""
+    """The vector pick prices every block in numpy and re-prices any
+    near-tied blocks in the scalar arithmetic of the per-block reference
+    walk, summed in grant order as ``(total + heard) + caused`` — so it
+    must pick the very same block, tie-breaks included."""
 
     @given(
         st.tuples(clamp_positions, clamp_positions),
@@ -227,27 +245,125 @@ class TestGreedyPickOracle:
         [((20.0, 0.0), (25.0, 0.0), rb) for rb in range(4)],
         4,
     )
-    def test_one_pass_pick_equals_the_reference(
+    def test_vector_pick_equals_the_reference(
         self, reference_pick, request_geometry, geometries, num_rbs
     ):
         request = LinkRequest("new", *request_geometry)
-        active = _leases(geometries, num_rbs)
-        picked = CentralizedAllocator().pick(request, active, num_rbs, LINK)
-        assert picked == reference_pick(request, active, num_rbs, LINK)
+        _picks_like_the_reference(
+            reference_pick, request, _pool_of(geometries, num_rbs)
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        num_rbs=st.integers(min_value=1, max_value=6),
+        bulk=st.integers(min_value=0, max_value=200),
+        ops=st.lists(
+            st.sampled_from(["grant", "release", "move", "pick"]),
+            max_size=60,
+        ),
+    )
+    @example(seed=0, num_rbs=1, bulk=3, ops=["pick", "move", "pick"])
+    @example(  # the arrays grow past 64 slots, then freed slots are reused
+        seed=1, num_rbs=6, bulk=150,
+        ops=["release"] * 20 + ["grant"] * 30 + ["move", "pick"] * 5,
+    )
+    def test_interleaved_pool_churn_keeps_the_reference_pick(
+        self, reference_pick, seed, num_rbs, bulk, ops
+    ):
+        # Coordinates mix the clamp-prone grid with a 300 m arena, so
+        # co-located paths and exact ties come up next to spread ones.
+        rng = random.Random(seed)
+
+        def position():
+            if rng.random() < 0.3:
+                return (rng.choice(GRID), rng.choice(GRID))
+            return (rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0))
+
+        pool = ResourceBlockPool(num_rbs)
+        granted = 0
+
+        def grant():
+            nonlocal granted
+            pool.grant(
+                RBLease(
+                    lease_id=f"l{granted}", rb=rng.randrange(num_rbs),
+                    tx_id=f"t{granted}", rx_id=f"r{granted}",
+                    tx_pos=position(), rx_pos=position(), created_s=0.0,
+                    busy_until_s=0.0, fixed=rng.random() < 0.5,
+                ),
+                0.0,
+            )
+            granted += 1
+
+        for _ in range(bulk):
+            grant()
+        for op in ["pick"] + ops + ["pick"]:
+            live = pool.live_leases()
+            movable = pool.movable_leases()
+            if op == "grant":
+                grant()
+            elif op == "release" and live:
+                pool.release(rng.choice(live).lease_id, 0.0)
+            elif op == "move" and movable:
+                pool.move(rng.choice(movable), position(), position())
+            elif op == "pick":
+                request = LinkRequest("new", position(), position())
+                _picks_like_the_reference(reference_pick, request, pool)
+            ok, reason = pool.audit()
+            assert ok, reason
+
+    @pytest.mark.parametrize("offset_m", [1e-12, -1e-12, 1e-10, 0.0])
+    def test_near_tie_is_confirmed_exactly(
+        self, reference_pick, monkeypatch, offset_m
+    ):
+        # One lease per block, the block-1 transmitter ``offset_m``
+        # farther from the newcomer: the vector costs agree to far
+        # inside the near-tie margin, so the scalar sums decide.
+        confirmations = []
+        exact = allocator_module._exact_block_cost
+
+        def counting(request, leases, link):
+            confirmations.append(len(leases))
+            return exact(request, leases, link)
+
+        monkeypatch.setattr(allocator_module, "_exact_block_cost", counting)
+        pool = _pool_of(
+            [
+                ((30.0, 0.0), (35.0, 0.0), 0),
+                ((30.0 + offset_m, 0.0), (35.0, 0.0), 1),
+                ((6.0, 0.0), (7.0, 0.0), 2),  # much louder: never tied
+            ],
+            3,
+        )
+        request = LinkRequest("new", (0.0, 0.0), (5.0, 0.0))
+        picked = _picks_like_the_reference(reference_pick, request, pool)
+        assert confirmations == [1, 1]  # blocks 0 and 1, re-priced
+        assert picked == (1 if offset_m > 0.0 else 0)
+
+    def test_a_clear_minimum_skips_the_exact_sums(
+        self, reference_pick, monkeypatch
+    ):
+        confirmations = []
+        monkeypatch.setattr(
+            allocator_module, "_exact_block_cost",
+            lambda *args: confirmations.append(args),
+        )
+        pool = _pool_of(
+            [((30.0, 0.0), (35.0, 0.0), 0), ((6.0, 0.0), (7.0, 0.0), 1)], 2
+        )
+        request = LinkRequest("new", (0.0, 0.0), (5.0, 0.0))
+        assert CentralizedAllocator().pick(request, pool, LINK) == 0
+        assert confirmations == []
 
     @given(st.integers(min_value=1, max_value=6), lease_geometries)
     def test_equal_costs_tie_to_block_zero(self, num_rbs, geometries):
         # Replicate one block's leases onto every block: all costs equal.
         request = LinkRequest("new", (0.0, 0.0), (5.0, 0.0))
-        active = [
-            RBLease(
-                lease_id=f"l{i}-{rb}", rb=rb, tx_id="t", rx_id="r",
-                tx_pos=tx, rx_pos=rx, created_s=0.0, busy_until_s=0.0,
-            )
-            for i, (tx, rx, _) in enumerate(geometries)
-            for rb in range(num_rbs)
-        ]
-        assert CentralizedAllocator().pick(request, active, num_rbs, LINK) == 0
+        pool = _pool_of(
+            [(tx, rx, rb) for tx, rx, _ in geometries for rb in range(num_rbs)],
+            num_rbs,
+        )
+        assert CentralizedAllocator().pick(request, pool, LINK) == 0
 
     @given(clamp_positions, st.lists(clamp_positions, max_size=8))
     def test_power_block_is_the_per_pair_composition(self, origin, points):
