@@ -36,11 +36,13 @@ import inspect
 import os
 import random
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis import saved_percent
 from repro.core.modes import breakeven_distance_m
 from repro.energy.profiles import DEFAULT_PROFILE
+from repro.faults.chaos import CHAOS_PROFILES
+from repro.faults.harness import SCENARIOS
 from repro.reporting import format_series, format_table, percent
 from repro.scenarios import (
     relay_savings_runner,
@@ -259,7 +261,7 @@ def _parse_param_grid(entries: Optional[List[str]]) -> Dict[str, List[object]]:
 
 
 def _parse_axis(flag: str, text: str, cast: type) -> List[object]:
-    """`grid --distances/--periods` value → a non-empty list of values."""
+    """A comma-separated list flag value → a non-empty list of values."""
     try:
         axis = [cast(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -436,12 +438,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """Differential chaos harness: audited baseline vs audited chaos."""
     from repro.faults.harness import run_differential_suite
 
-    profiles = ([p for p in args.profiles.split(",") if p]
-                if args.profiles else None)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    scenarios = tuple(s for s in args.scenarios.split(",") if s)
     suite = run_differential_suite(
-        profiles=profiles, seeds=seeds, scenarios=scenarios,
+        profiles=args.profiles, seeds=args.seeds,
+        scenarios=tuple(args.scenarios),
         n_ues=args.ues, periods=args.periods,
         n_devices=args.devices, duration_s=args.duration,
     )
@@ -466,13 +465,10 @@ def _cmd_ran(args: argparse.Namespace) -> int:
 
     from repro.faults.harness import run_ran_differential
 
-    profiles = [p for p in args.profiles.split(",") if p]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    scenario_names = [s for s in args.scenarios.split(",") if s]
     cases = []
-    for scenario in scenario_names:
-        for profile in profiles:
-            for seed in seeds:
+    for scenario in args.scenarios:
+        for profile in args.profiles:
+            for seed in args.seeds:
                 cases.append(run_ran_differential(
                     scenario=scenario, profile=profile, seed=seed,
                     n_ues=args.ues, periods=args.periods,
@@ -659,24 +655,6 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
              "rate/hybrid need --channel sinr")
 
 
-def _rb_count(text: str) -> int:
-    """``--num-rbs`` value: an integer of at least one."""
-    rbs = int(text)
-    if rbs < 1:
-        raise argparse.ArgumentTypeError(
-            f"need at least one resource block, got {rbs}"
-        )
-    return rbs
-
-
-def _shard_count(text: str) -> int:
-    """``--shards`` value: an integer of at least one."""
-    shards = int(text)
-    if shards < 1:
-        raise argparse.ArgumentTypeError(f"need at least one shard, got {shards}")
-    return shards
-
-
 def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     """Cell-sharded kernel flags shared by crowd and sweep subcommands."""
     parser.add_argument(
@@ -696,6 +674,7 @@ def _add_chaos_flags(parser: argparse.ArgumentParser) -> None:
     """Chaos-injection flags shared by scenario and sweep subcommands."""
     parser.add_argument(
         "--chaos-profile", default=None, metavar="NAME",
+        choices=list(CHAOS_PROFILES),
         help="layer stochastic fault processes on the D2D run and audit "
              "delivery safety (mild | relay-hostile | link-hostile | "
              "adversarial | ran-outage | paging-storm | degraded-ran)")
@@ -716,24 +695,69 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
              "coerced to int/float where possible")
 
 
-def _retry_count(text: str) -> int:
-    """``--max-retries`` value: a non-negative integer."""
-    retries = int(text)
-    if retries < 0:
-        raise argparse.ArgumentTypeError(
-            f"need a retry count of at least 0, got {retries}"
-        )
-    return retries
+def _int_at_least(minimum: int, need: str) -> Callable[[str], int]:
+    """argparse type: an integer of at least ``minimum``.
+
+    ``need`` completes the error message "need <need>, got <value>".
+    """
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"need {need}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
-def _period_count(text: str) -> int:
-    """``--max-periods`` value: an integer of at least one."""
-    periods = int(text)
-    if periods < 1:
+_rb_count = _int_at_least(1, "at least one resource block")
+_shard_count = _int_at_least(1, "at least one shard")
+_retry_count = _int_at_least(0, "a retry count of at least 0")
+_period_count = _int_at_least(1, "at least one transmission period")
+_ue_count = _int_at_least(0, "a UE count of at least 0")
+_device_count = _int_at_least(1, "at least one device")
+_capacity = _int_at_least(1, "a relay capacity of at least 1")
+
+
+def _fraction(text: str) -> float:
+    """``--relay-fraction``/``--mobile-fraction`` value: a float in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(
-            f"need at least one transmission period, got {periods}"
+            f"need a fraction in [0, 1], got {value:g}"
         )
-    return periods
+    return value
+
+
+def _duration(text: str) -> float:
+    """``--duration`` value: a positive number of seconds."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(
+            f"need a positive duration in seconds, got {value:g}"
+        )
+    return value
+
+
+def _axis_type(
+    flag: str, cast: type, known: Sequence[str] = ()
+) -> Callable[[str], List[object]]:
+    """argparse type for a comma-separated list flag (see `_parse_axis`).
+
+    With ``known``, every value must be one of those names.
+    """
+    def parse(text: str) -> List[object]:
+        try:
+            values = _parse_axis(flag, text, cast)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        unknown = [v for v in values if known and v not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {flag} value(s) {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(known)}"
+            )
+        return values
+    return parse
 
 
 def _cache_dir(text: str) -> str:
@@ -769,20 +793,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pair = sub.add_parser("pair", help="1 relay + n UEs vs. the original system")
-    pair.add_argument("--ues", type=int, default=1)
+    pair.add_argument("--ues", type=_ue_count, default=1)
     pair.add_argument("--distance", type=float, default=1.0)
-    pair.add_argument("--periods", type=int, default=7)
-    pair.add_argument("--capacity", type=int, default=10)
+    pair.add_argument("--periods", type=_period_count, default=7)
+    pair.add_argument("--capacity", type=_capacity, default=10)
     pair.add_argument("--seed", type=int, default=0)
     _add_chaos_flags(pair)
     _add_channel_flags(pair)
     pair.set_defaults(func=_cmd_pair)
 
     crowd = sub.add_parser("crowd", help="clustered-crowd signaling storm")
-    crowd.add_argument("--devices", type=int, default=40)
-    crowd.add_argument("--relay-fraction", type=float, default=0.2)
-    crowd.add_argument("--duration", type=float, default=1800.0)
-    crowd.add_argument("--mobile-fraction", type=float, default=0.0,
+    crowd.add_argument("--devices", type=_device_count, default=40)
+    crowd.add_argument("--relay-fraction", type=_fraction, default=0.2)
+    crowd.add_argument("--duration", type=_duration, default=1800.0)
+    crowd.add_argument("--mobile-fraction", type=_fraction, default=0.0,
                        help="fraction of devices random-waypointing "
                             "through the arena")
     crowd.add_argument("--seed", type=int, default=0)
@@ -792,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     crowd.set_defaults(func=_cmd_crowd)
 
     sweep = sub.add_parser("sweep", help="saved energy vs. transmission times")
-    sweep.add_argument("--ues", type=int, default=1)
+    sweep.add_argument("--ues", type=_ue_count, default=1)
     sweep.add_argument("--max-periods", type=_period_count, default=8)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--workers", type=int, default=0,
@@ -831,19 +855,22 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="differential chaos harness (delivery-safety gate)"
     )
     chaos.add_argument("--scenarios", default="pair",
+                       type=_axis_type("--scenarios", str, SCENARIOS),
                        help="comma-separated scenario names (pair, crowd)")
     chaos.add_argument("--profiles", default=None,
+                       type=_axis_type("--profiles", str, list(CHAOS_PROFILES)),
                        help="comma-separated chaos profiles "
                             "(default: all built-ins)")
     chaos.add_argument("--seeds", default="0,1,2,3,4",
+                       type=_axis_type("--seeds", int),
                        help="comma-separated seeds per (scenario, profile)")
-    chaos.add_argument("--ues", type=int, default=2,
+    chaos.add_argument("--ues", type=_ue_count, default=2,
                        help="UEs in the pair scenario")
-    chaos.add_argument("--periods", type=int, default=4,
+    chaos.add_argument("--periods", type=_period_count, default=4,
                        help="heartbeat periods in the pair scenario")
-    chaos.add_argument("--devices", type=int, default=12,
+    chaos.add_argument("--devices", type=_device_count, default=12,
                        help="devices in the crowd scenario")
-    chaos.add_argument("--duration", type=float, default=900.0,
+    chaos.add_argument("--duration", type=_duration, default=900.0,
                        help="crowd scenario duration in seconds")
     chaos.set_defaults(func=_cmd_chaos)
 
@@ -851,19 +878,22 @@ def build_parser() -> argparse.ArgumentParser:
         "ran", help="degraded-RAN differential (no-silent-loss gate)"
     )
     ran.add_argument("--scenarios", default="pair",
+                     type=_axis_type("--scenarios", str, SCENARIOS),
                      help="comma-separated scenario names (pair, crowd)")
     ran.add_argument("--profiles", default="ran-outage,paging-storm",
+                     type=_axis_type("--profiles", str, list(CHAOS_PROFILES)),
                      help="comma-separated RAN chaos profiles "
                           "(ran-outage | paging-storm | degraded-ran)")
     ran.add_argument("--seeds", default="0,1",
+                     type=_axis_type("--seeds", int),
                      help="comma-separated seeds per (scenario, profile)")
-    ran.add_argument("--ues", type=int, default=2,
+    ran.add_argument("--ues", type=_ue_count, default=2,
                      help="UEs in the pair scenario")
-    ran.add_argument("--periods", type=int, default=4,
+    ran.add_argument("--periods", type=_period_count, default=4,
                      help="heartbeat periods in the pair scenario")
-    ran.add_argument("--devices", type=int, default=12,
+    ran.add_argument("--devices", type=_device_count, default=12,
                      help="devices in the crowd scenario")
-    ran.add_argument("--duration", type=float, default=900.0,
+    ran.add_argument("--duration", type=_duration, default=900.0,
                      help="crowd scenario duration in seconds")
     ran.add_argument("--report", default=None, metavar="PATH",
                      help="write the case list as JSON (CI artifact)")
@@ -889,9 +919,9 @@ def build_parser() -> argparse.ArgumentParser:
     timeline = sub.add_parser(
         "timeline", help="ASCII radio-activity timeline of a session"
     )
-    timeline.add_argument("--ues", type=int, default=2)
+    timeline.add_argument("--ues", type=_ue_count, default=2)
     timeline.add_argument("--distance", type=float, default=1.0)
-    timeline.add_argument("--periods", type=int, default=3)
+    timeline.add_argument("--periods", type=_period_count, default=3)
     timeline.add_argument("--width", type=int, default=72)
     timeline.add_argument("--seed", type=int, default=0)
     timeline.set_defaults(func=_cmd_timeline)

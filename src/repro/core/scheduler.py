@@ -217,9 +217,10 @@ class MessageScheduler:
         if timer is not None and not timer.cancelled and timer.time == fire_at:
             # Same binding deadline → the armed wakeup already fires at the
             # right instant. Keeping it (instead of cancel + re-push) spares
-            # the event kernel one dead event per collected beat; the kept
-            # event's earlier sequence number is irrelevant because the
-            # flush callback is identical either way.
+            # the event kernel one dead event per collected beat. The kept
+            # event also keeps its earlier sequence number, so the flush
+            # fires ahead of same-instant events scheduled after it; run
+            # outputs depend on that order, so this is not a pure speed-up.
             self.rearms_skipped += 1
             return
         self.sim.cancel(timer)

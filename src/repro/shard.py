@@ -576,7 +576,6 @@ class _ShardState:
             "ghost_registrations": self.ghost_registrations,
             "events_fired": self.sim.events_fired,
             "n_devices": len(self.devices),
-            "coalesced_pushes": self.sim.queue.coalesced_pushes,
             "coalesced_pops": self.sim.queue.coalesced_pops,
         }
         return metrics, stats
@@ -771,7 +770,7 @@ class ShardedRunResult:
     #: per-shard load report: ``devices``, ``events``, ``work_s``,
     #: ``barrier_wait_s`` (idle time the shard would spend at window
     #: barriers waiting for the slowest peer), handover/ghost churn and
-    #: the event kernel's coalescing counters
+    #: ``coalesced_pops`` (the event kernel's same-timestamp pop count)
     shard_load: List[Dict[str, float]] = dataclasses.field(default_factory=list)
     #: sum over windows of the slowest shard's work — the wall time an
     #: ideal one-core-per-shard machine needs for the windowed portion
@@ -948,8 +947,7 @@ def run_crowd_scenario_sharded(
             "barrier_wait_s": barrier_wait_s[i],
             "handovers": s["handovers"],
             "ghost_registrations": s["ghost_registrations"],
-            "coalesced_pushes": s.get("coalesced_pushes", 0),
-            "coalesced_pops": s.get("coalesced_pops", 0),
+            "coalesced_pops": s["coalesced_pops"],
         }
         for i, s in enumerate(stats)
     ]

@@ -67,15 +67,6 @@ class Simulator:
         """Number of live events still queued."""
         return len(self.queue)
 
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest live pending event, or ``None``.
-
-        Lets a windowed driver (the sharded kernel's conservative-time
-        sync loop) ask how far it may safely advance without firing
-        anything — cancelled events are skipped, the queue is untouched.
-        """
-        return self.queue.peek_time()
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
@@ -160,11 +151,10 @@ class Simulator:
         self._stop_requested = False
         fired_before = self._fired
         # Hot path: this loop dominates every long run, so the per-event
-        # attribute chases are hoisted into locals and the old
-        # peek_time()/pop() double heap traversal is fused into one
-        # pop_until(horizon) call. `self._fired` is still written back every
-        # iteration so callbacks reading `events_fired`/`pending` mid-run
-        # observe the truth.
+        # attribute chases are hoisted into locals and one
+        # pop_until(horizon) call both checks the horizon and pops.
+        # `self._fired` is still written back every iteration so callbacks
+        # reading `events_fired`/`pending` mid-run observe the truth.
         pop_until = self.queue.pop_until
         advance_to = self.clock.advance_to
         trace = self.trace

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class Event:
@@ -56,58 +55,32 @@ class Event:
         if self._queue is not None:
             self._queue._dropped_live()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Kept for direct Event comparisons; the queue orders a heap of
-        # unique timestamps plus FIFO buckets instead, so the hot path
-        # compares floats at C speed and never calls back into Python.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flag = " CANCELLED" if self.cancelled else ""
         return f"Event({self.name!r} @ {self.time:.6f} #{self.seq}{flag})"
 
 
-#: A timestamp's entry: a lone event, or a FIFO deque once it has company.
-_Bucket = Union[Event, "deque[Event]"]
-
-
 class EventQueue:
-    """Min-heap of *timestamps* with a FIFO event bucket per timestamp.
+    """Min-heap of ``(time, seq, event)`` entries with lazy cancellation.
 
-    Simulated workloads synchronize: at crowd scale, thousands of beat and
-    scan timers share the exact same deadline (every storm device scans on
-    the same period, every window boundary re-arms a cohort at once). A
-    classic entry-per-event heap pays O(log N) sifts for each of them; this
-    queue keeps one heap entry per *distinct* timestamp and groups the
-    events into a per-timestamp bucket. Pushing into a timestamp that is
-    already queued — and popping any event but a bucket's last — is O(1)
-    dict/deque work, so a cohort of k same-deadline timers costs one sift
-    instead of k.
+    Sequence numbers increase monotonically and are unique, so tuple
+    comparison settles every order on the two numbers — at C speed, never
+    reaching the event — and same-instant events pop in scheduling order.
+    A cancelled event stays queued and is discarded when it reaches the
+    top, which keeps :meth:`Event.cancel` O(1).
 
-    A timestamp seen once holds its event directly (no deque allocation —
-    scattered-unique schedules stay as cheap as the old tuple heap); the
-    second push at the same instant promotes the entry to a deque.
-
-    Ordering is observably identical to the old (time, seq, event) tuple
-    heap: sequence numbers increase monotonically, so bucket FIFO order *is*
-    seq order, and the timestamp heap settles everything else. The
-    ``coalesced_pushes``/``coalesced_pops`` counters make the batching
-    observable for perf reports.
+    ``coalesced_pops`` counts pops after which another entry (live or
+    dead) at the same timestamp is still queued: the size of the
+    same-deadline cohorts the workload produces, for perf reports.
     """
 
-    __slots__ = ("_heap", "_buckets", "_counter", "_live",
-                 "coalesced_pushes", "coalesced_pops")
+    __slots__ = ("_heap", "_counter", "_live", "coalesced_pops")
 
     def __init__(self) -> None:
-        self._heap: list[float] = []
-        self._buckets: Dict[float, _Bucket] = {}
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
-        #: pushes that joined an already-queued timestamp (no heap sift)
-        self.coalesced_pushes = 0
-        #: pops served from a bucket that stayed hot (no heap traversal)
+        #: pops that left a same-timestamp entry queued
         self.coalesced_pops = 0
 
     def push(
@@ -118,18 +91,9 @@ class EventQueue:
         name: str = "",
     ) -> Event:
         """Insert a callback to fire at absolute ``time``; returns the handle."""
-        event = Event(time, next(self._counter), callback, args, name, queue=self)
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = event
-            heapq.heappush(self._heap, time)
-        else:
-            if type(bucket) is deque:
-                bucket.append(event)
-            else:
-                buckets[time] = deque((bucket, event))
-            self.coalesced_pushes += 1
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, name, queue=self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -144,60 +108,23 @@ class EventQueue:
         """Pop the earliest live event with ``time <= horizon``.
 
         Returns ``None`` when the queue is empty or the earliest live event
-        lies beyond the horizon (in which case it stays queued). Within a
-        hot bucket this is one deque popleft — no heap traversal at all.
+        lies beyond the horizon (in which case it stays queued).
         """
         heap = self._heap
-        buckets = self._buckets
+        heappop = heapq.heappop
         while heap:
-            time = heap[0]
-            bucket = buckets[time]
-            if type(bucket) is deque:
-                # cancelled-only buckets must not mask a later live event,
-                # so drain dead heads before trusting the timestamp
-                while bucket and bucket[0].cancelled:
-                    bucket.popleft()
-                if bucket:
-                    if time > horizon:
-                        return None
-                    event = bucket.popleft()
-                    self._live -= 1
-                    event._queue = None  # fired: late cancel() must not re-decrement
-                    if bucket:
-                        self.coalesced_pops += 1
-                    else:
-                        heapq.heappop(heap)
-                        del buckets[time]
-                    return event
-            else:
-                if not bucket.cancelled:
-                    if time > horizon:
-                        return None
-                    heapq.heappop(heap)
-                    del buckets[time]
-                    self._live -= 1
-                    bucket._queue = None  # fired: late cancel() must not re-decrement
-                    return bucket
-            heapq.heappop(heap)
-            del buckets[time]
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        buckets = self._buckets
-        while heap:
-            time = heap[0]
-            bucket = buckets[time]
-            if type(bucket) is deque:
-                while bucket and bucket[0].cancelled:
-                    bucket.popleft()
-                if bucket:
-                    return time
-            elif not bucket.cancelled:
-                return time
-            heapq.heappop(heap)
-            del buckets[time]
+            time, _seq, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                continue
+            if time > horizon:
+                return None
+            heappop(heap)
+            self._live -= 1
+            event._queue = None  # fired: late cancel() must not re-decrement
+            if heap and heap[0][0] == time:
+                self.coalesced_pops += 1
+            return event
         return None
 
     def _dropped_live(self) -> None:

@@ -179,9 +179,66 @@ class TestChaosFlags:
         assert "PASS" in out
         assert "1/1 cases passed" in out
 
-    def test_chaos_unknown_profile_errors(self):
-        with pytest.raises(ValueError, match="unknown chaos profile"):
+    def test_chaos_unknown_profile_errors(self, capsys):
+        with pytest.raises(SystemExit) as err:
             main(["chaos", "--profiles", "nope", "--seeds", "0"])
+        assert err.value.code == 2
+        assert "unknown --profiles value(s) 'nope'" in capsys.readouterr().err
+
+
+class TestBadHarnessLists:
+    """Malformed ``chaos``/``ran`` list flags exit 2 with a message before
+    any case runs — never a traceback, never a vacuous "0/0 cases"."""
+
+    @pytest.mark.parametrize("command", ["chaos", "ran"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seeds", "a", "bad --seeds 'a'"),
+        ("--seeds", "", "bad --seeds ''"),
+        ("--scenarios", "nope", "unknown --scenarios value(s) 'nope'"),
+        ("--profiles", "nope", "unknown --profiles value(s) 'nope'"),
+    ])
+    def test_bad_list_exits_2(self, capsys, command, flag, value, message):
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "cases passed" not in captured.out
+
+
+class TestBadNumberInput:
+    """Out-of-range scenario sizes (and an unknown chaos profile) exit 2
+    with a message, not a traceback from deep inside the scenario
+    builder."""
+
+    @pytest.mark.parametrize("command,message", [
+        (["pair", "--ues", "-1"], "UE count of at least 0"),
+        (["pair", "--periods", "0"], "at least one transmission period"),
+        (["pair", "--capacity", "0"], "relay capacity of at least 1"),
+        (["timeline", "--periods", "0"], "at least one transmission period"),
+        (["crowd", "--devices", "-3"], "at least one device"),
+        (["crowd", "--devices", "0"], "at least one device"),
+        (["crowd", "--duration", "0"], "positive duration"),
+        (["crowd", "--relay-fraction", "1.5"], "fraction in [0, 1]"),
+        (["crowd", "--mobile-fraction", "2"], "fraction in [0, 1]"),
+        (["chaos", "--periods", "0"], "at least one transmission period"),
+        (["ran", "--devices", "0"], "at least one device"),
+        (["pair", "--chaos-profile", "nope"], "invalid choice: 'nope'"),
+        (["sweep", "--chaos-profile", "nope"], "invalid choice: 'nope'"),
+    ])
+    def test_out_of_range_exits_2(self, capsys, command, message):
+        with pytest.raises(SystemExit) as err:
+            main(command)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_range_edges_are_accepted(self):
+        args = build_parser().parse_args(
+            ["crowd", "--relay-fraction", "0", "--mobile-fraction", "1",
+             "--devices", "1"]
+        )
+        assert (args.relay_fraction, args.mobile_fraction) == (0.0, 1.0)
+        assert build_parser().parse_args(["pair", "--ues", "0"]).ues == 0
 
 
 class TestChannelFlags:

@@ -1,5 +1,10 @@
 """Unit tests for events and the event queue."""
 
+import math
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
 
@@ -9,15 +14,23 @@ def _noop() -> None:
 
 
 class TestEventOrdering:
+    """The queue orders on ``(time, seq)``; events are never compared."""
+
     def test_earlier_time_sorts_first(self):
-        a = Event(1.0, 0, _noop, ())
-        b = Event(2.0, 1, _noop, ())
-        assert a < b and not b < a
+        queue = EventQueue()
+        late = queue.push(2.0, _noop)
+        early = queue.push(1.0, _noop)  # later seq, earlier time
+        assert early.seq > late.seq
+        assert queue.pop() is early and queue.pop() is late
 
     def test_equal_time_breaks_by_sequence(self):
-        a = Event(1.0, 0, _noop, ())
-        b = Event(1.0, 1, _noop, ())
-        assert a < b
+        queue = EventQueue()
+        a = queue.push(1.0, _noop)
+        b = queue.push(1.0, _noop)
+        assert a.seq < b.seq
+        assert queue.pop() is a and queue.pop() is b
+        with pytest.raises(TypeError):
+            a < b  # noqa: B015 - the heap key settles order, not Event
 
     def test_cancel_is_idempotent(self):
         event = Event(1.0, 0, _noop, ())
@@ -52,20 +65,6 @@ class TestEventQueue:
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
-
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(5.0, _noop)
-        queue.push(2.0, _noop)
-        assert queue.peek_time() == 2.0
-
-    def test_peek_time_skips_cancelled_head(self):
-        queue = EventQueue()
-        head = queue.push(1.0, _noop)
-        queue.push(4.0, _noop)
-        head.cancel()
-        assert queue.peek_time() == 4.0
 
     def test_len_tracks_live_events(self):
         queue = EventQueue()
@@ -146,29 +145,18 @@ class TestLiveCountBookkeeping:
 
 
 class TestTimestampBuckets:
-    """Same-deadline cohorts share one heap entry (the wakeup batching)."""
+    """Same-deadline cohorts: FIFO order, dead members, the pop counter."""
 
     def test_coalesced_counters_track_shared_deadlines(self):
         queue = EventQueue()
         queue.push(1.0, _noop)
-        assert queue.coalesced_pushes == 0  # first at its timestamp: a sift
         queue.push(1.0, _noop)
         queue.push(1.0, _noop)
         queue.push(2.0, _noop)
-        assert queue.coalesced_pushes == 2
         for _ in range(4):
             queue.pop()
-        # every pop but a bucket's last is served without a heap traversal
+        # every pop but a timestamp's last leaves a same-instant entry
         assert queue.coalesced_pops == 2
-
-    def test_one_heap_entry_per_distinct_timestamp(self):
-        queue = EventQueue()
-        for _ in range(5):
-            queue.push(1.0, _noop)
-        for _ in range(3):
-            queue.push(2.0, _noop)
-        assert len(queue._heap) == 2
-        assert len(queue) == 8
 
     def test_bucket_fifo_interleaves_with_unique_times(self):
         queue = EventQueue()
@@ -188,3 +176,64 @@ class TestTimestampBuckets:
         middle.cancel()
         assert [queue.pop().name for _ in range(2)] == ["a", "c"]
         assert queue.pop() is None
+
+
+# -- property test: the queue against a sorted-list oracle -----------------
+
+#: few distinct instants, so most pushes share a timestamp with another
+_TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.5, 4.0])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), _TIMES),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("pop_until"),
+                  st.sampled_from([0.0, 1.0, 2.0, 2.5, 4.0, math.inf])),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+class TestQueueAgainstOracle:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(ops=_OPS)
+    # the popped event's only same-instant company is dead: still counted
+    @example(ops=[("push", 1.0), ("push", 1.0), ("cancel", 1),
+                  ("pop_until", math.inf)])
+    def test_random_interleavings_match_sorted_list(self, ops):
+        queue = EventQueue()
+        handles = []
+        # oracle rows: [time, seq, state] with state live | dead | fired
+        rows = []
+        oracle_coalesced = 0
+        for op, arg in ops:
+            if op == "push":
+                handle = queue.push(arg, _noop)
+                handles.append(handle)
+                rows.append([arg, handle.seq, "live"])
+            elif op == "cancel":
+                if not handles:
+                    continue
+                i = arg % len(handles)
+                handles[i].cancel()
+                if rows[i][2] == "live":
+                    rows[i][2] = "dead"
+            else:
+                live = sorted((r for r in rows if r[2] == "live"),
+                              key=lambda r: (r[0], r[1]))
+                expected = live[0] if live and live[0][0] <= arg else None
+                got = queue.pop_until(arg)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got is not None
+                    assert (got.time, got.seq) == (expected[0], expected[1])
+                    expected[2] = "fired"
+                    # a later-scheduled entry at this instant, live or
+                    # dead, is still queued: none behind the popped one
+                    # has left yet
+                    if any(r[0] == expected[0] and r[1] > expected[1]
+                           for r in rows):
+                        oracle_coalesced += 1
+            assert len(queue) == sum(1 for r in rows if r[2] == "live")
+        assert queue.coalesced_pops == oracle_coalesced
