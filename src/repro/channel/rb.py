@@ -22,6 +22,7 @@ pass (:meth:`ResourceBlockPool.lease_arrays`).
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +55,8 @@ class RBLease:
     rx_pos: Position
     created_s: float
     #: End of the latest airtime carried on this lease; the lease expires
-    #: ``idle_timeout`` after this instant.
+    #: ``idle_timeout`` after this instant. Once granted it may only grow
+    #: (the pool's expiry heap is keyed on it).
     busy_until_s: float
     #: Both endpoints are static (zero speed bound), as seen at grant.
     fixed: bool = False
@@ -81,6 +83,13 @@ class ResourceBlockPool:
         self._free_slots: List[int] = []
         #: slots ever handed out: ``[0, _used)`` holds every live slot
         self._used = 0
+        #: expiry heap of ``(busy_until_s, grant seq, lease_id)``, one
+        #: live entry per lease, keyed on ``busy_until_s`` as of the push:
+        #: a lease extended since is pushed again when its entry pops,
+        #: and an entry whose grant seq is no longer live is dropped.
+        self._expiry: List[Tuple[float, int, str]] = []
+        #: lease_id → the grant seq of its live grant (``grants`` so far)
+        self._grant_seq: Dict[str, int] = {}
         # busy-time integral: active-lease-seconds accumulated per block
         self._busy_s: List[float] = [0.0] * num_rbs
         self._last_event_s = 0.0
@@ -157,6 +166,8 @@ class ResourceBlockPool:
         self._slot_of[lease.lease_id] = slot
         self._slot_rb[slot] = lease.rb
         self._write(slot, lease.tx_pos, lease.rx_pos)
+        self._grant_seq[lease.lease_id] = self.grants
+        heapq.heappush(self._expiry, (lease.busy_until_s, self.grants, lease.lease_id))
         self.grants += 1
         self.peak_live = max(self.peak_live, len(self._leases))
         return lease
@@ -169,6 +180,7 @@ class ResourceBlockPool:
         self._advance(now)
         self._by_rb[lease.rb].pop(lease_id, None)
         self._movable.pop(lease_id, None)
+        del self._grant_seq[lease_id]
         slot = self._slot_of.pop(lease_id)
         self._slot_rb[slot] = self.num_rbs
         self._free_slots.append(slot)
@@ -183,12 +195,31 @@ class ResourceBlockPool:
         self._write(self._slot_of[lease.lease_id], tx_pos, rx_pos)
 
     def reap_idle(self, now: float, idle_timeout_s: float) -> List[RBLease]:
-        """Release every lease idle past ``idle_timeout_s``; returns them."""
-        expired = [
-            lease
-            for lease in self._leases.values()
-            if lease.busy_until_s + idle_timeout_s <= now
-        ]
+        """Release every lease idle past ``idle_timeout_s``, in grant
+        order; returns them.
+
+        Pops only the expiry heap's due entries instead of walking every
+        live lease. ``busy_until_s + idle_timeout_s <= now`` is monotone
+        in ``busy_until_s``, so no lease behind the first entry that is
+        not due can be due either.
+        """
+        heap = self._expiry
+        if not heap or heap[0][0] + idle_timeout_s > now:
+            return []
+        leases = self._leases
+        grant_seq = self._grant_seq
+        due: List[Tuple[int, RBLease]] = []
+        while heap and heap[0][0] + idle_timeout_s <= now:
+            __, seq, lease_id = heapq.heappop(heap)
+            if grant_seq.get(lease_id) != seq:
+                continue  # released since this entry was pushed
+            lease = leases[lease_id]
+            if lease.busy_until_s + idle_timeout_s <= now:
+                due.append((seq, lease))
+            else:  # extended since: wait for its new expiry
+                heapq.heappush(heap, (lease.busy_until_s, seq, lease_id))
+        due.sort()  # grant order; seqs are unique
+        expired = [lease for __, lease in due]
         for lease in expired:
             self.release(lease.lease_id, now)
         return expired
@@ -236,7 +267,9 @@ class ResourceBlockPool:
         the live count, the movable set is exactly the live leases that
         are not ``fixed``, and the lease arrays agree with the lease
         table — one slot per live lease holding its block and
-        coordinates, every other slot in the sentinel block.
+        coordinates, every other slot in the sentinel block — and the
+        expiry heap holds one live entry per live lease, due no later
+        than the lease.
         """
         seen: Dict[str, int] = {}
         for rb, bucket in enumerate(self._by_rb):
@@ -255,7 +288,27 @@ class ResourceBlockPool:
         }
         if set(self._movable) != movable:
             return False, "movable set disagrees with the lease table"
+        ok, reason = self._audit_expiry()
+        if not ok:
+            return ok, reason
         return self._audit_arrays()
+
+    def _audit_expiry(self) -> Tuple[bool, str]:
+        if set(self._grant_seq) != set(self._leases):
+            return False, "grant seqs disagree with the lease table"
+        keys: Dict[str, float] = {}
+        for key, seq, lease_id in self._expiry:
+            if self._grant_seq.get(lease_id) != seq:
+                continue
+            if lease_id in keys:
+                return False, f"lease {lease_id!r} has two live expiry entries"
+            keys[lease_id] = key
+        if set(keys) != set(self._leases):
+            return False, "expiry heap disagrees with the lease table"
+        for lease_id, key in keys.items():
+            if key > self._leases[lease_id].busy_until_s:
+                return False, f"expiry entry of {lease_id!r} is later than the lease"
+        return True, ""
 
     def _audit_arrays(self) -> Tuple[bool, str]:
         if set(self._slot_of) != set(self._leases):

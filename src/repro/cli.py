@@ -716,6 +716,7 @@ _period_count = _int_at_least(1, "at least one transmission period")
 _ue_count = _int_at_least(0, "a UE count of at least 0")
 _device_count = _int_at_least(1, "at least one device")
 _capacity = _int_at_least(1, "a relay capacity of at least 1")
+_width = _int_at_least(1, "a width of at least 1")
 
 
 def _fraction(text: str) -> float:
@@ -734,6 +735,26 @@ def _duration(text: str) -> float:
     if not value > 0.0:
         raise argparse.ArgumentTypeError(
             f"need a positive duration in seconds, got {value:g}"
+        )
+    return value
+
+
+def _days(text: str) -> float:
+    """``table1 --days`` value: a positive number of days."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(
+            f"need a positive number of days, got {value:g}"
+        )
+    return value
+
+
+def _distance(text: str) -> float:
+    """``--distance`` value: a non-negative UE–relay distance in metres."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"need a non-negative distance in metres, got {value:g}"
         )
     return value
 
@@ -794,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pair = sub.add_parser("pair", help="1 relay + n UEs vs. the original system")
     pair.add_argument("--ues", type=_ue_count, default=1)
-    pair.add_argument("--distance", type=float, default=1.0)
+    pair.add_argument("--distance", type=_distance, default=1.0)
     pair.add_argument("--periods", type=_period_count, default=7)
     pair.add_argument("--capacity", type=_capacity, default=10)
     pair.add_argument("--seed", type=int, default=0)
@@ -903,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     breakeven.set_defaults(func=_cmd_breakeven)
 
     table1 = sub.add_parser("table1", help="regenerate Table I")
-    table1.add_argument("--days", type=float, default=7.0)
+    table1.add_argument("--days", type=_days, default=7.0)
     table1.add_argument("--seed", type=int, default=2017)
     table1.set_defaults(func=_cmd_table1)
 
@@ -920,9 +941,9 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline", help="ASCII radio-activity timeline of a session"
     )
     timeline.add_argument("--ues", type=_ue_count, default=2)
-    timeline.add_argument("--distance", type=float, default=1.0)
+    timeline.add_argument("--distance", type=_distance, default=1.0)
     timeline.add_argument("--periods", type=_period_count, default=3)
-    timeline.add_argument("--width", type=int, default=72)
+    timeline.add_argument("--width", type=_width, default=72)
     timeline.add_argument("--seed", type=int, default=0)
     timeline.set_defaults(func=_cmd_timeline)
 

@@ -27,7 +27,7 @@ from repro.channel.model import ChannelModel
 from repro.d2d.link import LinkModel
 from repro.energy.model import EnergyModel, EnergyPhase
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
-from repro.mobility.index import SpatialIndex
+from repro.mobility.index import Cell, SpatialIndex
 from repro.mobility.models import MobilityModel, TrajectoryBatch
 from repro.mobility.space import Position, distance_between
 from repro.perf import PerfCounters
@@ -110,12 +110,44 @@ class D2DEndpoint:
         self.advertisement_view: Mapping[str, Any] = types.MappingProxyType(
             self.advertisement
         )
-        self.advertising = False
-        self.powered_on = True
+        #: the medium this endpoint is registered with, and its
+        #: registration seq there: the visibility setters write through
+        #: to that medium's slot
+        self._medium: Optional["D2DMedium"] = None
+        self._slot = -1
+        self._advertising = False
+        self._powered_on = True
         #: Time of the last data receive — drives wake coalescing.
         self.last_data_rx_s = float("-inf")
         self.on_message: Optional[Callable[["D2DConnection", str, Any, int], None]] = None
         self.on_disconnect: Optional[Callable[["D2DConnection", str], None]] = None
+
+    @property
+    def advertising(self) -> bool:
+        """Whether the service record is on air (scans find the endpoint
+        while it is also powered on)."""
+        return self._advertising
+
+    @advertising.setter
+    def advertising(self, value: bool) -> None:
+        self._advertising = value
+        self._write_visibility()
+
+    @property
+    def powered_on(self) -> bool:
+        return self._powered_on
+
+    @powered_on.setter
+    def powered_on(self, value: bool) -> None:
+        self._powered_on = value
+        self._write_visibility()
+
+    def _write_visibility(self) -> None:
+        """Copy ``advertising and powered_on`` into the registered
+        medium's slot, which scans read instead of this endpoint."""
+        medium = self._medium
+        if medium is not None:
+            medium._visible[self._slot] = bool(self._advertising and self._powered_on)
 
     def position(self, t: float) -> Position:
         return self.mobility.position(t)
@@ -329,53 +361,26 @@ class D2DConnection:
         self.medium._break_connection(self, reason)
 
 
-class _CandidateBlock:
-    """Aligned arrays for one block of scan candidates.
+#: Slots the seq-indexed endpoint arrays start with; they double when full.
+_INITIAL_SLOTS = 64
 
-    ``ids`` (an object array), ``seqs`` (int64 registration sequence
-    numbers) and the ``xs``/``ys`` coordinates, one entry per candidate.
-    The requester is *not* filtered out: a block is shared by every
-    requester scanning from the same cell.
-
-    A *static* block is sorted by registration sequence and bakes its
-    coordinates in at build time. The *mover* block holds every mover in
-    registration order; :class:`D2DMedium` replaces its coordinates once
-    per instant.
-    """
-
-    __slots__ = ("ids", "seqs", "xs", "ys")
-
-    def __init__(self, ids, seqs, xs, ys) -> None:
-        self.ids = _np.array(ids, dtype=object)
-        self.seqs = _np.array(seqs, dtype=_np.int64)
-        self.xs = _np.array(xs, dtype=_np.float64)
-        self.ys = _np.array(ys, dtype=_np.float64)
-
-    def distances_from(self, origin: Position):
-        """The block distances to ``origin`` as one numpy array.
-
-        ``sqrt(dx*dx + dy*dy)`` elementwise is the exact IEEE-754
-        operation sequence :func:`repro.mobility.space.distance_between`
-        performs (sub, mul, mul, add, sqrt — each correctly rounded), so
-        every element is bit-identical to a per-peer scalar distance.
-        """
-        dx = self.xs - origin[0]
-        dy = self.ys - origin[1]
-        return _np.sqrt(dx * dx + dy * dy)
-
-
-#: what a scan from a cell with no static endpoint within one cell sees
-_NO_STATICS = _CandidateBlock([], [], [], [])
+#: ``random.Random.gauss``'s ``TWOPI``, for the inlined shadowing draw
+_TWOPI = 2.0 * math.pi
 
 
 class D2DMedium:
     """The shared D2D radio environment for one technology.
 
-    Discovery splits endpoints by their mobility model's speed bound.
-    Statics (a zero bound) sit in a spatial index and reach scans through
-    cached per-cell blocks. Every other endpoint is a mover: movers are
-    never indexed, and each scan range-filters all of them in one numpy
-    pass over coordinates computed once per instant (see :meth:`_scan`).
+    Discovery reads endpoint state from arrays indexed by registration
+    seq: coordinates, visibility (``advertising and powered_on``, written
+    through by the endpoint's setters) and ids. Endpoints split by their
+    mobility model's speed bound. Statics (a zero bound) write their
+    coordinates once, at register, and sit in a spatial index. Every
+    other endpoint is a mover: movers are never indexed, and their
+    coordinates are rewritten once per instant from one
+    :class:`TrajectoryBatch` call. A scan reads one candidate block of
+    seqs per index cell, which holds no coordinates, so motion never
+    invalidates it (see :meth:`_scan`).
 
     Parameters
     ----------
@@ -450,40 +455,47 @@ class D2DMedium:
         self.perf = PerfCounters()
         self._endpoints: Dict[str, D2DEndpoint] = {}
         #: device_id → fixed position for endpoints whose mobility model
-        #: has a zero speed bound: their position never changes, so
-        #: coordinate blocks bake it in instead of calling ``position(t)``
-        #: on every scan. Clearing this dict (tests do) falls back to live
+        #: has a zero speed bound, read as the scan origin of a static
+        #: requester. Clearing this dict (tests do) falls back to live
         #: position lookups.
         self._static_pos: Dict[str, Position] = {}
-        #: registration order per device — scan survivors are ordered by
-        #: this so scans examine peers in exactly the order a full walk of
-        #: ``_endpoints`` would, keeping RSSI noise draws and result
-        #: ordering independent of the blocks. ``_next_seq`` is monotonic (never reused after unregister), so
-        #: two different registration histories can never collide on a
-        #: sequence number.
+        #: registration seq per device — scan survivors come out in seq
+        #: order, so scans examine peers in exactly the order a full walk
+        #: of ``_endpoints`` would, keeping RSSI noise draws and result
+        #: ordering independent of the blocks. ``_next_seq`` is monotonic
+        #: (never reused after unregister), so two different registration
+        #: histories can never collide on a seq, and a newly registered
+        #: endpoint always holds the largest seq.
         self._seq: Dict[str, int] = {}
         self._next_seq = 0
+        #: seq-indexed endpoint state: coordinates (a static's from
+        #: register on, a mover's as of ``_mover_t``), visibility and id.
+        #: An unregistered seq's slot is hidden and holds no id.
+        self._x = _np.zeros(_INITIAL_SLOTS)
+        self._y = _np.zeros(_INITIAL_SLOTS)
+        self._visible = _np.zeros(_INITIAL_SLOTS, dtype=bool)
+        self._ids = _np.full(_INITIAL_SLOTS, None, dtype=object)
         #: endpoints with a zero speed bound, binned once. Cells are one
         #: radio range wide, so the 3×3 cells around a scan's cell cover
         #: its range from anywhere in that cell.
         self._static_index = SpatialIndex(technology.max_range_m)
-        #: index cell → the static block of the 3×3 cells around it. A
-        #: static register/unregister evicts only the blocks of the 3×3
-        #: cells around the static's own cell, and movers evict nothing.
-        #: Empty blocks are never stored, so the dict is bounded by the
-        #: static crowd's footprint.
-        self._static_blocks: Dict[tuple, _CandidateBlock] = {}
+        #: index cell → the candidate block of scans from it: the sorted
+        #: int64 seqs of every static in the 3×3 cells around it and of
+        #: every mover. A static register/unregister evicts the blocks of
+        #: the 3×3 cells around the static's own cell; a mover
+        #: register/unregister adds or drops its seq in every block. A
+        #: cell with no static within one cell stores no block, so the
+        #: dict is bounded by the static crowd's footprint.
+        self._blocks: Dict[Cell, _np.ndarray] = {}
         #: every endpoint whose speed bound is nonzero or unknown, in
-        #: registration order. Movers are not indexed: each scan
-        #: range-filters all of them in one numpy pass over the mover
-        #: block, whose coordinates come from one TrajectoryBatch call per
-        #: instant. Every mover register and unregister drops block and
-        #: batch; the next scan rebuilds them.
+        #: registration order. Movers are not indexed: every block holds
+        #: them all. A mover register or unregister drops the mover seqs
+        #: and the batch; the next scan rebuilds them.
         self._movers: Dict[str, D2DEndpoint] = {}
-        self._mover_block: Optional[_CandidateBlock] = None
+        self._mover_seqs: Optional[_np.ndarray] = None
         self._mover_batch: Optional[TrajectoryBatch] = None
-        #: instant the mover block's coordinates were computed at
-        self._mover_block_t: Optional[float] = None
+        #: instant the movers' slots were last written at
+        self._mover_t: Optional[float] = None
         #: insertion-ordered live-connection set and per-endpoint adjacency
         #: (dicts as ordered sets: O(1) add/remove, stable iteration)
         self._connections: Dict[D2DConnection, None] = {}
@@ -500,47 +512,77 @@ class D2DMedium:
     # membership
     # ------------------------------------------------------------------
     def register(self, endpoint: D2DEndpoint) -> None:
-        if endpoint.device_id in self._endpoints:
-            raise ValueError(f"duplicate endpoint {endpoint.device_id}")
         device_id = endpoint.device_id
-        self._seq[device_id] = self._next_seq
-        self._next_seq += 1
+        if device_id in self._endpoints:
+            raise ValueError(f"duplicate endpoint {device_id}")
+        if endpoint._medium is not None:
+            raise ValueError(f"{device_id} is registered with another medium")
+        seq = self._next_seq
+        if seq == self._ids.size:
+            self._grow()
+        self._next_seq = seq + 1
+        self._seq[device_id] = seq
         self._endpoints[device_id] = endpoint
+        self._ids[seq] = device_id
+        endpoint._medium = self
+        endpoint._slot = seq
+        endpoint._write_visibility()
         if endpoint.mobility.max_speed_m_s() != 0.0:
             self._movers[device_id] = endpoint
-            self._mover_block = None
+            self._mover_seqs = None
+            # the largest seq yet: appending keeps every block sorted
+            blocks = self._blocks
+            for cell, block in blocks.items():
+                blocks[cell] = _np.append(block, seq)
             return
         # a zero speed bound means the position is time-invariant:
-        # memoise it once and spare every future scan the call.
+        # write it once and spare every future scan the call.
         position = endpoint.position(self.sim.now)
         self._static_pos[device_id] = position
-        self._evict_static_blocks(self._static_index.insert(device_id, position))
+        self._x[seq], self._y[seq] = position
+        self._evict_blocks(self._static_index.insert(device_id, position))
 
     def unregister(self, device_id: str) -> None:
         """Remove an endpoint from the medium entirely.
 
         Breaks its live connections, then drops every trace of it —
-        endpoint map, registration sequence, static memo, spatial index,
-        mover set. The sharded kernel churns ghost endpoints (statics)
-        through this every sync window, so a static evicts only the
-        static blocks around its cell; a mover drops the mover block,
-        which the next scan rebuilds.
+        endpoint map, registration seq and slot, static memo, spatial
+        index, mover set — and detaches the endpoint, so its visibility
+        setters stop writing to the slot. The sharded kernel churns ghost
+        endpoints (statics) through this every sync window, so a static
+        evicts only the blocks around its cell; a mover drops its seq
+        from every block.
         """
         self.endpoint(device_id)  # keep the unknown-device KeyError contract
         for connection in list(self._adjacency.get(device_id, ())):
             self._break_connection(connection, "peer unregistered")
-        del self._endpoints[device_id]
-        del self._seq[device_id]
+        endpoint = self._endpoints.pop(device_id)
+        seq = self._seq.pop(device_id)
+        self._visible[seq] = False
+        self._ids[seq] = None
+        endpoint._medium = None
+        endpoint._slot = -1
         if self._movers.pop(device_id, None) is not None:
-            self._mover_block = None
+            self._mover_seqs = None
+            blocks = self._blocks
+            for cell, block in blocks.items():
+                blocks[cell] = block[block != seq]
             return
         self._static_pos.pop(device_id, None)
-        self._evict_static_blocks(self._static_index.remove(device_id))
+        self._evict_blocks(self._static_index.remove(device_id))
 
-    def _evict_static_blocks(self, cell) -> None:
-        """Drop the static blocks that cover ``cell``: those keyed by it
-        and by its eight neighbours."""
-        blocks = self._static_blocks
+    def _grow(self) -> None:
+        """Double the seq-indexed arrays; new slots are hidden."""
+        size = self._ids.size
+        self._x = _np.concatenate((self._x, _np.zeros(size)))
+        self._y = _np.concatenate((self._y, _np.zeros(size)))
+        self._visible = _np.concatenate((self._visible, _np.zeros(size, dtype=bool)))
+        self._ids = _np.concatenate((self._ids, _np.full(size, None, dtype=object)))
+
+    def _evict_blocks(self, cell: Cell) -> None:
+        """Drop the blocks that cover ``cell``: those keyed by it and by
+        its eight neighbours."""
+        blocks = self._blocks
         if not blocks:
             return
         cx, cy = cell
@@ -681,16 +723,16 @@ class D2DMedium:
     ) -> List[PeerInfo]:
         """Advertising, reachable peers in range of ``origin`` at ``t``.
 
-        The candidates come in two shared blocks: the static block of the
-        origin's cell and the mover block, which holds every mover. One
-        numpy pass over each computes every candidate distance and
-        discards the out-of-range majority in C; the survivors of both
-        are merged by registration sequence. Reordering the range filter
-        ahead of the advertising filter is safe for determinism because the survivor
-        set of *all* filters — the only candidates that reach the RSSI
-        noise draw — is order-independent, and survivors are visited in
-        registration order, exactly as a walk over every endpoint would
-        visit them. The test suite keeps that walk as the oracle.
+        The candidates are the block of the origin's index cell: the seqs
+        of the statics around it and of every mover, sorted. One numpy
+        pass gathers their coordinates and visibility from the
+        seq-indexed arrays and keeps the candidates in range and visible,
+        discarding the majority in C; the survivors come out in seq
+        order, the order a walk over every endpoint would visit them.
+        Running the range and visibility filters ahead of the others is
+        safe for determinism because the survivor set of *all* filters —
+        the only candidates that reach the RSSI noise draw — is
+        order-independent. The test suite keeps that walk as the oracle.
 
         The survivor loop inlines :meth:`LinkModel.probe`,
         :meth:`~LinkModel.shadowed` and :meth:`~LinkModel.estimate_distance`
@@ -701,129 +743,137 @@ class D2DMedium:
         sensitivity cutoff sits on the result, so a last-ulp difference
         could flip a candidate in or out of range and desynchronize the
         RSSI noise stream from the oracle's per-peer walk.
+
+        The shadowing draw inlines ``random.Random.gauss`` statement for
+        statement (its Box–Muller pair cache lives in ``rng.gauss_next``,
+        read once and written back, also around a link gate call), so the
+        values and the generator state equal per-peer ``rng.gauss`` calls.
         """
-        max_range = self.technology.max_range_m
-        statics = self._static_block_for(origin)
-        distances = statics.distances_from(origin)
-        keep = _np.nonzero(distances <= max_range)[0]
-        ids = statics.ids[keep]
-        distances = distances[keep]
-        examined = len(statics.ids)
-        movers = self._mover_block_at(t)
-        if movers is not None:
-            examined += len(movers.ids)
-            mover_distances = movers.distances_from(origin)
-            mover_keep = _np.nonzero(mover_distances <= max_range)[0]
-            if len(mover_keep):
-                order = _np.argsort(
-                    _np.concatenate((statics.seqs[keep], movers.seqs[mover_keep]))
-                )
-                ids = _np.concatenate((ids, movers.ids[mover_keep]))[order]
-                distances = _np.concatenate(
-                    (distances, mover_distances[mover_keep])
-                )[order]
+        movers = self._movers_at(t)
+        cell = self._static_index._cell_of(origin)
+        block = self._blocks.get(cell)
+        if block is None:
+            block = self._block_for(cell, origin, movers)
         perf = self.perf
         perf.vectorized_scans += 1
-        perf.scan_candidates_examined += examined - 1
-        tech = self.technology
-        link = tech.link
+        perf.scan_candidates_examined += len(block) - 1
+        # sqrt(dx*dx + dy*dy) elementwise is the exact IEEE-754 sequence
+        # distance_between performs (sub, mul, mul, add, sqrt, each
+        # correctly rounded), so every distance is bit-identical to it.
+        dx = self._x[block] - origin[0]
+        dy = self._y[block] - origin[1]
+        distances = _np.sqrt(dx * dx + dy * dy)
+        in_range = distances <= self.technology.max_range_m
+        hits = (in_range & self._visible[block]).nonzero()[0]
+        found: List[PeerInfo] = []
+        if not len(hits):
+            return found
+        link = self.technology.link
         tx = link.tx_power_dbm
         ref_db = link.path_loss_at_ref_db
         slope = 10.0 * link.path_loss_exponent
         ref_m = link.reference_m
         floor = link.sensitivity_dbm
         sigma = link.shadowing_sigma_db
-        gauss = rng.gauss if rng is not None and sigma > 0 else None
+        draw = rng is not None and sigma > 0
+        if draw:
+            uniform = rng.random
+            pending = rng.gauss_next
         log10 = math.log10
+        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
         gate = self._link_gate
         endpoints = self._endpoints
-        found: List[PeerInfo] = []
+        new = tuple.__new__
+        append = found.append
         # .tolist() converts to exact python floats, so no numpy scalar
         # ever reaches the scalar math or a PeerInfo.
-        for device_id, distance_m in zip(ids.tolist(), distances.tolist()):
+        for device_id, distance_m in zip(
+            self._ids[block[hits]].tolist(), distances[hits].tolist()
+        ):
             if device_id == requester_id:
-                continue
-            peer = endpoints[device_id]
-            if not (peer.advertising and peer.powered_on):
                 continue
             d = distance_m if distance_m > 0.01 else 0.01
             rssi = tx - (ref_db + slope * log10(d / ref_m))
             if rssi < floor:
                 continue
-            if gate is not None and not gate(requester_id, device_id):
-                continue
-            if gauss is not None:
-                rssi += gauss(0.0, sigma)
-            found.append(
-                PeerInfo(
-                    device_id,
-                    rssi,
-                    ref_m * 10.0 ** ((tx - rssi - ref_db) / slope),
-                    peer.advertisement_view,
+            if gate is not None:
+                if draw:
+                    rng.gauss_next = pending
+                    allowed = gate(requester_id, device_id)
+                    pending = rng.gauss_next
+                else:
+                    allowed = gate(requester_id, device_id)
+                if not allowed:
+                    continue
+            if draw:
+                if pending is None:
+                    x2pi = uniform() * _TWOPI
+                    g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                    z = cos(x2pi) * g2rad
+                    pending = sin(x2pi) * g2rad
+                else:
+                    z = pending
+                    pending = None
+                rssi += 0.0 + z * sigma
+            append(
+                new(
+                    PeerInfo,
+                    (
+                        device_id,
+                        rssi,
+                        ref_m * 10.0 ** ((tx - rssi - ref_db) / slope),
+                        endpoints[device_id].advertisement_view,
+                    ),
                 )
             )
+        if draw:
+            rng.gauss_next = pending
         return found
 
-    def _static_block_for(self, origin: Position) -> _CandidateBlock:
-        """The static block for scans from ``origin``'s index cell: every
-        static endpoint of the 3×3 cells around it, coordinates baked in.
+    def _movers_at(self, t: float) -> _np.ndarray:
+        """The movers' seqs, with their slots holding their coordinates
+        at ``t``.
 
-        Built on first use and kept until a static registers or
-        unregisters within one cell of that cell; movers never touch it.
-        An empty block is not stored.
+        The seqs (in registration order) and the :class:`TrajectoryBatch`
+        are rebuilt after the mover set changed; the slots are rewritten
+        once per instant, which is exact because mobility is analytic,
+        so a same-instant cohort of scans pays for them once.
         """
-        cell = self._static_index._cell_of(origin)
-        block = self._static_blocks.get(cell)
-        if block is not None:
-            return block
+        seqs = self._mover_seqs
+        if seqs is None:
+            movers = self._movers
+            seq = self._seq
+            seqs = _np.array([seq[device_id] for device_id in movers], dtype=_np.int64)
+            self._mover_seqs = seqs
+            self._mover_batch = TrajectoryBatch(
+                [endpoint.mobility for endpoint in movers.values()]
+            )
+            self._mover_t = None
+        if t != self._mover_t and len(seqs):
+            self._x[seqs], self._y[seqs] = self._mover_batch.positions(t)
+            self._mover_t = t
+        return seqs
+
+    def _block_for(self, cell: Cell, origin: Position, movers: _np.ndarray) -> _np.ndarray:
+        """The candidate block for scans from ``cell`` (``origin`` lies in
+        it): the seqs of every static of the 3×3 cells around it merged
+        with ``movers``, the mover seqs, in seq order.
+
+        Stored until a static registers or unregisters within one cell of
+        ``cell``; a mover register or unregister edits it in place. A cell
+        with no static within one cell stores nothing: its scans read
+        ``movers`` itself, after one index query each.
+        """
         perf = self.perf
         perf.index_queries += 1
         ids = self._static_index.query_block(origin, self.technology.max_range_m)
         if not ids:
-            return _NO_STATICS
+            return movers
         seq = self._seq
-        ids.sort(key=seq.__getitem__)
-        static_pos = self._static_pos
-        endpoints = self._endpoints
-        xs = []
-        ys = []
-        for device_id in ids:
-            pos = static_pos.get(device_id)
-            if pos is None:  # the memo was cleared; statics never move
-                pos = endpoints[device_id].position(self.sim.now)
-            xs.append(pos[0])
-            ys.append(pos[1])
-        block = _CandidateBlock(ids, [seq[device_id] for device_id in ids], xs, ys)
-        self._static_blocks[cell] = block
+        statics = _np.array([seq[device_id] for device_id in ids], dtype=_np.int64)
+        block = _np.sort(_np.concatenate((statics, movers)))
+        self._blocks[cell] = block
         perf.vector_block_builds += 1
-        return block
-
-    def _mover_block_at(self, t: float) -> Optional[_CandidateBlock]:
-        """Every mover with its coordinates at ``t``, or ``None`` when the
-        medium holds no mover.
-
-        The block (ids and seqs in registration order) and its
-        :class:`TrajectoryBatch` are rebuilt after the mover set changed;
-        the coordinates are recomputed once per instant, which is exact
-        because mobility is analytic, so a same-instant cohort of scans
-        pays for them once.
-        """
-        movers = self._movers
-        if not movers:
-            return None
-        block = self._mover_block
-        if block is None:
-            ids = list(movers)
-            seq = self._seq
-            block = _CandidateBlock(ids, [seq[device_id] for device_id in ids], (), ())
-            self._mover_block = block
-            self._mover_batch = TrajectoryBatch(
-                [endpoint.mobility for endpoint in movers.values()]
-            )
-            self._mover_block_t = None
-        if t != self._mover_block_t:
-            block.xs, block.ys = self._mover_batch.positions(t)
-            self._mover_block_t = t
         return block
 
     # ------------------------------------------------------------------

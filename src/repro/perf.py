@@ -38,19 +38,23 @@ class PerfCounters:
     def __init__(self) -> None:
         #: discovery scans completed
         self.scans = 0
-        #: endpoints examined across all scans (the O(N) vs O(local) story)
+        #: candidate-block entries examined across all scans, each
+        #: scan's requester excluded: the statics near its cell plus
+        #: every mover (the O(N) vs O(local) story)
         self.scan_candidates_examined = 0
         #: peers actually returned to scan callbacks
         self.scan_peers_returned = 0
         #: block queries issued to the static spatial index: every
-        #: static-block build and every lookup from a cell with no static
-        #: within one cell (never cached). Movers are not indexed.
+        #: candidate-block build and every lookup from a cell with no
+        #: static within one cell (never cached). Movers are not indexed.
         self.index_queries = 0
         #: scans whose distance math ran on the numpy block path (every
         #: scan; kept while bench reports read it)
         self.vectorized_scans = 0
-        #: static-block (re)builds: first scans from a cell, and rebuilds
-        #: after static churn within one cell evicted the block
+        #: candidate-block (re)builds: first scans from a cell, and
+        #: rebuilds after static churn within one cell evicted the block.
+        #: A mover register or unregister edits every cached block in
+        #: place and books no build.
         self.vector_block_builds = 0
         self._timers: Dict[str, float] = {}
 

@@ -417,6 +417,8 @@ def run_relay_scenario(
     """
     if n_ues < 0:
         raise ValueError(f"n_ues must be non-negative, got {n_ues}")
+    if not distance_m >= 0.0:
+        raise ValueError(f"distance_m must be non-negative, got {distance_m}")
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     if mode not in ("d2d", "original"):

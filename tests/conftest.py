@@ -74,6 +74,13 @@ def brute_force():
     return oracle
 
 
+@pytest.fixture(scope="session")
+def scan_oracle():
+    """:func:`brute_force_scan`, for Hypothesis tests (which cannot take
+    function-scoped fixtures)."""
+    return brute_force_scan
+
+
 def reference_received_mw(link, tx_pos, rx_pos):
     """Mean received power (mW), composed from the public per-pair
     functions rather than the channel's batched arithmetic."""
@@ -144,6 +151,28 @@ def reference_channel():
             yield calls
 
     return oracle
+
+
+def reap_idle_walk(pool, now, idle_timeout_s):
+    """The reaping oracle: walk every live lease in grant order and
+    release those idle past ``idle_timeout_s`` — the rule
+    :meth:`repro.channel.rb.ResourceBlockPool.reap_idle` answers from its
+    expiry heap."""
+    expired = [
+        lease
+        for lease in pool.live_leases()
+        if lease.busy_until_s + idle_timeout_s <= now
+    ]
+    for lease in expired:
+        pool.release(lease.lease_id, now)
+    return expired
+
+
+@pytest.fixture(scope="session")
+def reap_oracle():
+    """:func:`reap_idle_walk`, for Hypothesis tests (which cannot take
+    function-scoped fixtures)."""
+    return reap_idle_walk
 
 
 def border_shards(plan, position, own_shard, margin_m):

@@ -1,14 +1,15 @@
 """Regression tests for latent discovery-cache bugs.
 
-A scan reads two candidate blocks. Static blocks
-(``D2DMedium._static_blocks``) hold the static endpoints of the 3×3
-index cells around one cell and are evicted only by static churn within
-one cell of their key. Movers — every endpoint whose speed bound is
-nonzero or unknown — are not indexed: the one mover block
-(``D2DMedium._mover_block``) holds all of them in registration order, is
-rebuilt when the mover set changes and gets fresh coordinates once per
-instant. Earlier caches on the same hot path had stamps that missed a
-class of invalidating change:
+A scan reads one candidate block (``D2DMedium._blocks``), keyed by its
+origin's index cell: the sorted registration seqs of the static
+endpoints of the 3×3 index cells around that cell and of every mover —
+an endpoint whose speed bound is nonzero or unknown, never indexed.
+Blocks hold no coordinates: the scan gathers them, and visibility, from
+the medium's seq-indexed arrays (``_x``, ``_y``, ``_visible``, ``_ids``).
+A block is evicted only by static churn within one cell of its key; a
+mover register or unregister adds or drops its seq in every block; the
+movers' slots are rewritten once per instant. Earlier caches on the same
+hot path had stamps that missed a class of invalidating change:
 
 1. A sorted-candidate cache stamped ``(index version, endpoint count)``
    was blind to *unindexed-set churn*. Unregistering one unindexable
@@ -22,10 +23,14 @@ class of invalidating change:
    every scan merged ever more cells (movers were still indexed then).
 4. One global stamp over every block meant any mover crossing any cell
    rebuilt every block, static-only ones included.
+
+:class:`TestVisibilityWriteThrough` pins the visibility slots, which the
+endpoints' ``advertising``/``powered_on`` setters write.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.d2d.base import D2DEndpoint, D2DMedium
@@ -85,7 +90,8 @@ class TestVectorBlockStamp:
         assert [p.device_id for p in found] == ["peer-b"]
 
     def test_vector_block_still_hits_when_membership_is_stable(self):
-        """The two-part stamp must not break the cache's happy path."""
+        """The scanner's block is built once and serves the repeat scan;
+        the unbounded peer, a mover, is in it."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         scanner = D2DEndpoint("scanner", StaticMobility((0.0, 0.0)))
@@ -95,7 +101,10 @@ class TestVectorBlockStamp:
         medium.register(peer)
 
         _scan(medium, sim, "scanner", 3.0)
-        _scan(medium, sim, "scanner", 6.0)
+        block = medium._blocks[(0, 0)]
+        assert [p.device_id for p in _scan(medium, sim, "scanner", 6.0)] == ["peer"]
+        assert medium._blocks[(0, 0)] is block
+        assert block.tolist() == [0, 1]
         assert medium.perf.vector_block_builds == 1
 
     def test_unregister_breaks_connections_and_forgets_the_endpoint(self):
@@ -124,8 +133,7 @@ class TestVectorBlockStamp:
         medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
         # silent, in the next cell east: scans from there after the unregister
         medium.register(D2DEndpoint("watcher", StaticMobility((65.0, 0.0))))
-        # silent and far off, but it keeps the mover blocks in use once the
-        # mover is gone
+        # silent and far off, but it stays a mover once the walker is gone
         medium.register(D2DEndpoint("free", UnboundedMobility((1000.0, 0.0))))
         # 40 m out in the scanner's cell at t=2, 55 m out in the next at t=5
         mover = D2DEndpoint("mover", LinearMobility((30.0, 0.0), (5.0, 0.0)))
@@ -134,31 +142,38 @@ class TestVectorBlockStamp:
         assert list(medium._movers) == ["free", "mover"]
         assert "mover" not in medium._static_index
         assert [p.device_id for p in _scan(medium, sim, "scanner", 3.0)] == ["mover"]
-        statics = dict(medium._static_blocks)
-        assert statics
-        # the mover walks into the next cell: the mover block is kept
-        # (motion only refreshes its coordinates) and so are the statics
-        block = medium._mover_block
+        block = medium._blocks[(0, 0)]
+        assert block.tolist() == [0, 1, 2, 3]
+        # the mover walks into the next cell: the block is kept (it holds
+        # no coordinates), and the mover's slot moved with it
         assert [p.device_id for p in _scan(medium, sim, "scanner", 6.0)] == []
-        assert medium._mover_block is block
-        assert medium._static_blocks == statics
-        # 5 m from the watcher at t=8: found through the same block
+        assert medium._blocks == {(0, 0): block}
+        assert medium._x[3] == 30.0 + 5.0 * medium._mover_t
+        # 5 m from the watcher at t=8: found through the watcher's block
         assert [p.device_id for p in _scan(medium, sim, "watcher", 9.0)] == ["mover"]
-        statics = dict(medium._static_blocks)
+        queries = medium.perf.index_queries
         medium.unregister("mover")
         assert list(medium._movers) == ["free"]
-        assert medium._static_blocks == statics
-        # it would stand 20 m from the watcher at t=11: a mover block
-        # left stale by the unregister would still return it
+        # the mover's seq leaves every block without an index query, and
+        # its slot is hidden and forgets the id
+        assert {cell: b.tolist() for cell, b in medium._blocks.items()} == {
+            (0, 0): [0, 1, 2],
+            (1, 0): [0, 1, 2],
+        }
+        assert medium.perf.index_queries == queries
+        assert not medium._visible[3] and medium._ids[3] is None
+        # it would stand 20 m from the watcher at t=11: a block left
+        # stale by the unregister would still return it
         assert [p.device_id for p in _scan(medium, sim, "watcher", 12.0)] == []
         assert medium.perf.vector_block_builds == 2
 
     def test_same_instant_churn_matches_the_oracle(self, brute_force):
         """Ghost-style churn: between scans, peers leave and come back
         under the same id at the same instant, at a new position —
-        indexed peers after even rounds, unindexed ones after odd rounds,
-        so each stamp component alone must catch its half. Every swap
-        keeps the endpoint count."""
+        indexed peers after even rounds (evicting the blocks around
+        them), unindexed ones after odd rounds (editing every block), so
+        each path alone must catch its half. Every swap keeps the
+        endpoint count."""
 
         def place(medium, kind, i, shift):
             if kind == "ghost":
@@ -195,7 +210,11 @@ class TestVectorBlockStamp:
         # block is rebuilt after each of the three ghost rounds, the far
         # scanner's block is built once
         assert medium.perf.vector_block_builds == 1 + 3 + 1
-        assert (4, 0) in medium._static_blocks
+        assert (4, 0) in medium._blocks
+        # the far block holds the far scanner and the current unindexed
+        # peers, whose seqs every swap replaced
+        free = sorted(medium._seq[f"free-{i}"] for i in range(4))
+        assert medium._blocks[(4, 0)].tolist() == [medium._seq["far"]] + free
         with brute_force():
             __, brute = run()
         assert indexed == brute
@@ -206,8 +225,8 @@ class TestSplitBlocks:
     def test_crossing_movers_and_churn_match_the_oracle(self, brute_force):
         """Movers cross index cells between scans while statics and
         unindexed peers churn: every scan — statics and movers scanning
-        as same-instant cohorts — must see exactly the oracle's peers,
-        RSSI draws and order."""
+        as same-instant cohorts, from blocks kept across rounds — must see
+        exactly the oracle's peers, RSSI draws and order."""
 
         def run():
             sim = Simulator(seed=7)
@@ -295,48 +314,54 @@ class TestSplitBlocks:
 class TestBlockCacheBound:
     def test_block_cache_stays_bounded_under_sustained_movement(self):
         """A mover scanning from ever-new cells must not accumulate one
-        coordinate block per cell it ever visited: the cells past the
-        rock's neighbourhood hold no static, so no static block is kept
-        for them, and the one mover block is never rebuilt by motion."""
+        block per cell it ever visited: the cells past the rock's
+        neighbourhood hold no static, so no block is kept for them (their
+        scans read the mover seqs), and motion never rebuilds the mover
+        seqs — it only rewrites the walker's slot."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         medium.register(D2DEndpoint("walker", LinearMobility((0.0, 0.0), (15.0, 0.0))))
         medium.register(D2DEndpoint("rock", StaticMobility((5.0, 0.0))))
         _scan(medium, sim, "walker", 2.0)
-        block = medium._mover_block
-        cells = set()
+        movers = medium._mover_seqs
+        assert movers.tolist() == [0]
+        cells = []
         for step in range(2, 201):
             # crosses a 50 m cell boundary every few scans
             _scan(medium, sim, "walker", step * 2.0)
-            assert medium._mover_block is block
-            assert block.ids.tolist() == ["walker"]
-            assert block.xs.tolist() == [15.0 * medium._mover_block_t]
-            cells.add(medium._static_index._cell_of((block.xs[0], block.ys[0])))
+            assert medium._mover_seqs is movers
+            assert medium._x[0] == 15.0 * medium._mover_t
+            cells.append(medium._static_index._cell_of((medium._x[0], medium._y[0])))
         # the walker crossed some 120 cells ...
-        assert len(cells) > 100
+        assert len(set(cells)) > 100
         # ... while only its first two cells see the rock
-        assert sorted(medium._static_blocks) == [(0, 0), (1, 0)]
+        assert sorted(medium._blocks) == [(0, 0), (1, 0)]
         assert medium.perf.vector_block_builds == 2
+        # a scan from a rock-less cell stores nothing and queries again
+        rockless = sum(cell not in medium._blocks for cell in cells)
+        assert medium.perf.index_queries == 2 + rockless
 
     def test_block_cache_still_serves_repeat_queries(self):
-        """Eviction on stamp moves must not cost the static-crowd win:
-        every requester scanning from one cell shares one block."""
+        """Eviction must not cost the static-crowd win: every requester
+        scanning from one cell shares one block."""
         sim = Simulator(seed=1)
         medium = D2DMedium(sim, WIFI_DIRECT)
         for device_id, pos in (("a", (10.0, 10.0)), ("b", (20.0, 10.0))):
             medium.register(D2DEndpoint(device_id, StaticMobility(pos)))
         _scan(medium, sim, "a", 3.0)
-        first = dict(medium._static_blocks)
+        block = medium._blocks[(0, 0)]
         _scan(medium, sim, "b", 6.0)
-        assert medium._static_blocks == first
+        assert medium._blocks == {(0, 0): block}
+        assert block.tolist() == [0, 1]
         assert medium.perf.vector_block_builds == 1
 
 
 class TestMoverRefresh:
     def test_reused_block_rereads_its_movers_at_a_new_instant(self, brute_force):
-        """The mover block outlives the instant it was built at: with the
-        mover set unchanged it is kept, so a later scan must recompute
-        the mover's coordinates, not serve those of the first scan."""
+        """The block outlives the instant it was built at: with the mover
+        set unchanged it is kept, so a later scan must read the mover's
+        slot rewritten at the new instant, not the first scan's
+        coordinates."""
 
         def run():
             sim = Simulator(seed=1)
@@ -355,9 +380,12 @@ class TestMoverRefresh:
 
         medium, indexed = run()
         assert medium.perf.vector_block_builds == 1
+        # the second scan completed at t=5, with the mover at x = 25 m
+        assert (medium._mover_t, medium._x[1]) == (5.0, 25.0)
         with brute_force():
             __, brute = run()
         assert indexed == brute
+        assert [len(found) for found in indexed] == [1, 1]
 
 
 class TestMoverSlack:
@@ -366,8 +394,8 @@ class TestMoverSlack:
     slack had to get right."""
 
     def test_slack_drops_to_zero_once_the_last_mover_leaves(self, brute_force):
-        """A scan long after the last walking mover unregistered sees a
-        mover block of just the unbounded endpoint, and the oracle's
+        """A scan long after the last walking mover unregistered sees
+        just the unbounded endpoint among the movers, and the oracle's
         peers."""
 
         def run():
@@ -377,7 +405,7 @@ class TestMoverSlack:
             peer = D2DEndpoint("peer", StaticMobility((5.0, 0.0)))
             peer.advertising = True
             medium.register(peer)
-            # silent, so it keeps a mover block alive without being found
+            # silent, so it stays a mover without being found
             medium.register(D2DEndpoint("free", UnboundedMobility((8.0, 0.0))))
             medium.register(
                 D2DEndpoint("mover", LinearMobility((10.0, 0.0), (1.5, 0.0)))
@@ -389,7 +417,8 @@ class TestMoverSlack:
 
         medium, indexed = run()
         assert list(medium._movers) == ["free"]
-        assert medium._mover_block.ids.tolist() == ["free"]
+        assert medium._ids[medium._mover_seqs].tolist() == ["free"]
+        assert medium._ids[medium._blocks[(0, 0)]].tolist() == ["scanner", "peer", "free"]
         with brute_force():
             __, brute = run()
         assert indexed == brute
@@ -462,3 +491,127 @@ class TestMoverChurn:
             ["free", "leaving", "walker"],
             ["free", "walker"],
         ]
+
+
+def _assert_visibility_slots(medium):
+    """``_visible`` holds exactly the registered endpoints that advertise
+    and are powered on, each at its registration seq."""
+    want = {
+        medium._seq[device_id]
+        for device_id, endpoint in medium._endpoints.items()
+        if endpoint.advertising and endpoint.powered_on
+    }
+    assert set(np.flatnonzero(medium._visible).tolist()) == want
+    for device_id, seq in medium._seq.items():
+        assert medium._ids[seq] == device_id
+
+
+class TestVisibilityWriteThrough:
+    """Scans read visibility from the medium's seq-indexed ``_visible``
+    slots, which the endpoints' ``advertising`` and ``powered_on``
+    setters write. Toggles on statics, movers and ghost-style endpoints
+    — before register, between two same-instant scans, across
+    ``power_off``/``power_on`` and across unregister and re-register of
+    one id — must keep every scan equal to the oracle's."""
+
+    def test_toggles_match_the_oracle(self, brute_force):
+        def run():
+            sim = Simulator(seed=11)
+            medium = D2DMedium(sim, WIFI_DIRECT)
+            for device_id in ("scan-a", "scan-b"):
+                medium.register(D2DEndpoint(device_id, StaticMobility((0.0, 0.0))))
+            # toggled before register: each slot must start from them
+            rock = D2DEndpoint("rock", StaticMobility((6.0, 0.0)))
+            rock.advertising = True
+            walker = D2DEndpoint("walker", LinearMobility((-20.0, 3.0), (2.0, 0.0)))
+            walker.advertising = True
+            walker.powered_on = False
+            ghost = D2DEndpoint(
+                "ghost",
+                StaticMobility((0.0, 9.0)),
+                advertisement={"ghost": 1, "capacity_remaining": 0},
+            )
+            ghost.advertising = True
+            free = D2DEndpoint("free", UnboundedMobility((-4.0, -4.0)))
+            for endpoint in (rock, walker, ghost, free):
+                medium.register(endpoint)
+            observations = []
+            checks = []
+
+            def record(tag, then=None):
+                def done(found):
+                    observations.append((tag, [(p.device_id, p.rssi_dbm) for p in found]))
+                    if then is not None:
+                        then()
+                    _assert_visibility_slots(medium)
+                    checks.append(tag)
+
+                return done
+
+            def scan_pair(tag, between, horizon):
+                """Two scans completing at one instant, ``between`` run
+                after the first."""
+                medium.discover("scan-a", record(f"{tag}-a", between))
+                medium.discover("scan-b", record(f"{tag}-b"))
+                sim.run_until(horizon)
+
+            def first_toggles():
+                medium.endpoint("rock").advertising = False
+                medium.endpoint("walker").powered_on = True
+                medium.endpoint("free").advertising = True
+
+            scan_pair("r1", first_toggles, 3.0)
+            # the ghost's radio dies; the rock advertises again
+            medium.power_off("ghost")
+            rock.advertising = True
+            scan_pair("r2", lambda: medium.power_on("ghost"), 6.0)
+            # power_on leaves advertising off until the owner turns it on
+            scan_pair("r3", lambda: setattr(ghost, "advertising", True), 9.0)
+            # the radio dies without telling the medium, between two scans
+            scan_pair("r4", lambda: setattr(walker, "powered_on", False), 12.0)
+            # unregister and re-register under the same ids: the departed
+            # endpoint objects are detached, so toggling them is invisible
+            medium.unregister("rock")
+            medium.unregister("walker")
+            rock.advertising = False
+            rock.advertising = True
+            walker.powered_on = True
+            _assert_visibility_slots(medium)
+            assert rock._slot == walker._slot == -1
+            new_rock = D2DEndpoint("rock", StaticMobility((7.0, 1.0)))
+            new_walker = D2DEndpoint("walker", LinearMobility((-10.0, -3.0), (1.0, 0.0)))
+            new_walker.advertising = True
+            medium.register(new_rock)
+            medium.register(new_walker)
+            scan_pair("r5", lambda: setattr(new_rock, "advertising", True), 15.0)
+            scan_pair("r6", lambda: medium.power_off("walker"), 18.0)
+            return observations, checks, (rock, walker)
+
+        indexed, checks, departed = run()
+        assert len(checks) == 12
+        assert all(endpoint._medium is None for endpoint in departed)
+        with brute_force():
+            brute, __, __ = run()
+        assert indexed == brute
+        # not vacuous: toggles between same-instant scans changed what
+        # the second scan of a pair saw
+        seen = {tag: {device_id for device_id, __ in found} for tag, found in indexed}
+        assert seen["r1-a"] == {"rock", "ghost"}
+        assert seen["r1-b"] == {"walker", "ghost", "free"}
+        assert "ghost" not in seen["r2-a"] | seen["r2-b"] | seen["r3-a"]
+        assert "ghost" in seen["r3-b"]
+        assert "walker" in seen["r4-a"] and "walker" not in seen["r4-b"]
+        assert seen["r5-a"] == {"walker", "ghost", "free"}
+        assert seen["r5-b"] == {"rock", "walker", "ghost", "free"}
+        assert seen["r6-b"] == {"rock", "ghost", "free"}
+
+    def test_a_second_medium_is_refused(self):
+        """An endpoint's setters write to one medium's slot, so it
+        registers with one medium at a time."""
+        endpoint = D2DEndpoint("e", StaticMobility((0.0, 0.0)))
+        first = D2DMedium(Simulator(seed=1), WIFI_DIRECT)
+        first.register(endpoint)
+        with pytest.raises(ValueError, match="another medium"):
+            D2DMedium(Simulator(seed=1), WIFI_DIRECT).register(endpoint)
+        first.unregister("e")
+        D2DMedium(Simulator(seed=1), WIFI_DIRECT).register(endpoint)

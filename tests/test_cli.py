@@ -225,6 +225,10 @@ class TestBadNumberInput:
         (["ran", "--devices", "0"], "at least one device"),
         (["pair", "--chaos-profile", "nope"], "invalid choice: 'nope'"),
         (["sweep", "--chaos-profile", "nope"], "invalid choice: 'nope'"),
+        (["timeline", "--width", "0"], "a width of at least 1"),
+        (["timeline", "--distance", "-1"], "non-negative distance"),
+        (["pair", "--distance", "-1"], "non-negative distance"),
+        (["table1", "--days", "0"], "positive number of days"),
     ])
     def test_out_of_range_exits_2(self, capsys, command, message):
         with pytest.raises(SystemExit) as err:

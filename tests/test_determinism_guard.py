@@ -13,7 +13,9 @@ lease re-resolved on every transfer.
 
 import dataclasses
 
+import gauss_replay
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.d2d.base import D2DEndpoint, D2DMedium
 from repro.d2d.wifi_direct import WIFI_DIRECT
@@ -144,9 +146,9 @@ class TestCrowdMetricsIdentity:
 class TestScanFastPathIdentity:
     """The discovery memos are accelerations, never behaviour.
 
-    The static-position memo can be cleared (every coordinate then comes
-    from a live ``position(t)``) and must leave the observation stream
-    unchanged; the ``(cell, k)`` vector-block dict must actually serve
+    The static-position memo can be cleared (every scan origin then
+    comes from a live ``position(t)``) and must leave the observation
+    stream unchanged; the per-cell candidate blocks must actually serve
     repeat scans.
     """
 
@@ -182,13 +184,18 @@ class TestScanFastPathIdentity:
             )
             endpoint.advertising = True
             medium.register(endpoint)
+        blocks = []
         for start in (0.0, 10.0, 20.0):
             sim.schedule_at(start, medium.discover, "s0", lambda peers: None)
+            sim.schedule_at(start + 5.0, lambda: blocks.append(dict(medium._blocks)))
         sim.run_until(30.0)
-        # The first scan builds the sorted candidate block; the static
-        # crowd never moves the stamp, so the two repeats reuse it.
+        # The first scan builds the cell's block of seqs; no static
+        # registers or leaves, so the two repeats reuse that very array.
         assert medium.perf.scans == 3
-        assert medium.perf.vector_block_builds == 1
+        assert medium.perf.vector_block_builds == medium.perf.index_queries == 1
+        (cell, block), = blocks[0].items()
+        assert all(list(seen) == [cell] and seen[cell] is block for seen in blocks)
+        assert block.tolist() == list(range(12))
 
     def test_memo_stays_off_for_mobile_endpoints(self):
         sim = Simulator(seed=0)
@@ -209,6 +216,68 @@ class TestScanFastPathIdentity:
         )
         assert "rock" in medium._static_pos
         assert "mover" not in medium._static_pos
+
+
+#: one step of :class:`TestInlineShadowingDraw`: a scan with ``n`` of
+#: the seven peers advertising, or ``n`` direct ``gauss`` calls
+draw_steps = st.lists(
+    st.tuples(st.sampled_from(["scan", "gauss"]), st.integers(0, 7)),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestInlineShadowingDraw:
+    """The scan's inlined Box–Muller draw equals per-peer ``rng.gauss``
+    calls: odd and even survivor counts (so the pair cache
+    ``gauss_next`` is left full or empty), interleaved with direct
+    ``gauss`` calls on the same ``d2d-discovery`` stream, must give the
+    oracle's RSSI values and generator state after every step. A gate
+    that itself calls ``gauss`` checks the pair cache is handed over
+    around the gate call."""
+
+    @staticmethod
+    def _medium():
+        sim = Simulator(seed=5)
+        medium = D2DMedium(sim, WIFI_DIRECT)
+        medium.register(D2DEndpoint("scanner", StaticMobility((0.0, 0.0))))
+        for i in range(7):
+            if i % 2:
+                mobility = StaticMobility((4.0 * i + 1.0, 3.0))
+            else:
+                mobility = LinearMobility((4.0 * i - 10.0, -2.0), (0.5, 0.25))
+            medium.register(D2DEndpoint(f"p{i}", mobility))
+        return sim, medium
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(draw_steps, st.booleans())
+    @example([("scan", 1), ("gauss", 1), ("scan", 2), ("scan", 3)], False)
+    @example([("scan", 3), ("scan", 1), ("gauss", 2)], True)
+    def test_inline_draw_matches_rng_gauss(self, scan_oracle, steps, gated):
+        runs = []
+        for scan in (D2DMedium._scan, scan_oracle):
+            sim, medium = self._medium()
+            rng = sim.rng.get("d2d-discovery")
+            if gated:
+                # vetoes p3 and draws from the scan's own stream
+                medium.link_gate = lambda a, b: rng.gauss(0.0, 1.0) > -9.0 and b != "p3"
+            trace = []
+            for t, (op, n) in enumerate(steps):
+                if op == "scan":
+                    for i in range(7):
+                        medium.endpoint(f"p{i}").advertising = i < n
+                    found = scan(medium, "scanner", (0.0, 0.0), float(t), rng)
+                    assert len(found) == n - (gated and n > 3)
+                    values = [(p.device_id, p.rssi_dbm) for p in found]
+                else:
+                    values = [rng.gauss(0.0, 1.0) for __ in range(n)]
+                trace.append((values, rng.getstate()))
+            runs.append(trace)
+        assert runs[0] == runs[1]
+
+    def test_stdlib_replay_matches_gauss(self):
+        gauss_replay.check_source()
+        assert gauss_replay.replay(seeds=8, steps=40) > 0
 
 
 class TestVectorizedScanIdentity:

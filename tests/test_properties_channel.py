@@ -12,7 +12,9 @@ trustworthy as *physics* rather than arbitrary arithmetic:
    explicit termination floor);
 4. **no double-booking** — under arbitrary grant/release/reap sequences
    the pool's books stay consistent and re-granting a live lease always
-   raises;
+   raises, and reaping from the pool's expiry heap releases exactly the
+   leases, in exactly the order, of the linear walk in
+   ``tests/conftest.py``;
 5. **allocator equivalence** — on instances small enough to enumerate,
    the distributed message-passing allocator lands on assignments with
    the same total-interference objective as the exhaustive centralized
@@ -164,6 +166,69 @@ class TestPoolBookkeeping:
                 lease for lease in pool.live_leases() if not lease.fixed
             ]
         assert pool.grants - pool.releases == len(pool)
+
+
+reap_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["grant", "transfer", "release", "reap"]),
+        st.integers(min_value=0, max_value=5),  # lease
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),  # time step
+        st.sampled_from([0.0, 0.25, 1.0, 4.0]),  # airtime or idle timeout
+    ),
+    max_size=60,
+)
+
+
+class TestReapOracle:
+    """The expiry heap reaps what the linear walk reaps.
+
+    Two pools take the same grants, transfers (which extend a lease's
+    ``busy_until_s`` the way :meth:`ChannelModel.begin_transfer` does),
+    releases and reaps; one reaps from its heap, the other with the walk
+    in ``tests/conftest.py``. Reaped leases, their order, slot reuse and
+    busy-time integration must stay equal, and both books must audit.
+    """
+
+    @given(reap_ops)
+    @example([
+        ("grant", 0, 0.0, 0.0), ("transfer", 0, 1.0, 4.0),
+        ("reap", 0, 2.5, 1.0), ("grant", 1, 0.0, 0.0),
+        ("reap", 0, 2.5, 1.0), ("grant", 0, 0.5, 0.0),
+        ("reap", 0, 2.5, 0.0),
+    ])
+    def test_heap_reaps_like_the_walk(self, reap_oracle, ops):
+        pools = (ResourceBlockPool(3), ResourceBlockPool(3))
+        now = 0.0
+        for op, index, step, amount in ops:
+            now += step
+            lease_id = f"lease-{index}"
+            if op == "grant":
+                for pool in pools:
+                    if lease_id not in pool:
+                        pool.grant(RBLease(
+                            lease_id=lease_id, rb=index % 3, tx_id="t",
+                            rx_id="r", tx_pos=(float(index), 0.0),
+                            rx_pos=(0.0, 1.0), created_s=now,
+                            busy_until_s=now,
+                        ), now)
+            elif op == "transfer":
+                for pool in pools:
+                    lease = pool.get(lease_id)
+                    if lease is not None:
+                        lease.busy_until_s = max(lease.busy_until_s, now + amount)
+            elif op == "release":
+                for pool in pools:
+                    pool.release(lease_id, now)
+            else:
+                heap = pools[0].reap_idle(now, amount)
+                walk = reap_oracle(pools[1], now, amount)
+                assert [l.lease_id for l in heap] == [l.lease_id for l in walk]
+            for pool in pools:
+                ok, reason = pool.audit()
+                assert ok, reason
+            assert pools[0].live_leases() == pools[1].live_leases()
+            assert pools[0]._slot_of == pools[1]._slot_of
+            assert pools[0].busy_seconds() == pools[1].busy_seconds()
 
 
 small_instances = st.tuples(

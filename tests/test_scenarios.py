@@ -77,6 +77,11 @@ class TestRelayScenario:
         with pytest.raises(ValueError):
             run_relay_scenario(mode="hybrid")
 
+    def test_negative_distance_rejected(self):
+        with pytest.raises(ValueError, match="distance_m"):
+            run_relay_scenario(distance_m=-1.0)
+        assert run_relay_scenario(distance_m=0.0, periods=1).total_l3() > 0
+
     def test_custom_ue_phases(self):
         result = run_relay_scenario(
             n_ues=2, periods=2, ue_phases=[0.4, 0.6], mode="d2d"
