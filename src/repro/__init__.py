@@ -66,6 +66,7 @@ from repro.baseline import (
     PiggybackSystem,
 )
 from repro.scenarios import (
+    CrowdSpec,
     NetworkContext,
     RUNNER_REGISTRY,
     ScenarioResult,
@@ -168,6 +169,7 @@ __all__ = [
     "PiggybackSystem",
     "FastDormancySystem",
     "FAST_DORMANCY_PROFILE",
+    "CrowdSpec",
     "NetworkContext",
     "RUNNER_REGISTRY",
     "ScenarioResult",

@@ -31,6 +31,7 @@ runner (see `repro.scenarios.RUNNER_REGISTRY`) without writing Python.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import os
@@ -45,6 +46,7 @@ from repro.faults.chaos import CHAOS_PROFILES
 from repro.faults.harness import SCENARIOS
 from repro.reporting import format_series, format_table, percent
 from repro.scenarios import (
+    CrowdSpec,
     relay_savings_runner,
     run_crowd_scenario,
     run_relay_scenario,
@@ -142,21 +144,13 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     return _print_chaos_outcome(d2d)
 
 
-def _cmd_crowd_sharded(args: argparse.Namespace) -> int:
+def _cmd_crowd_sharded(args: argparse.Namespace, spec: CrowdSpec) -> int:
     """`crowd --shards N`: the same storm on the cell-sharded kernel."""
     from repro.shard import run_crowd_scenario_sharded
 
     try:
         result = run_crowd_scenario_sharded(
-            n_devices=args.devices, relay_fraction=args.relay_fraction,
-            duration_s=args.duration, seed=args.seed,
-            mobile_fraction=args.mobile_fraction,
-            shards=args.shards,
-            backend=args.shard_backend or "serial",
-            channel=args.channel,
-            shadowing_sigma_db=args.shadowing_sigma,
-            selection_policy=args.selection_policy,
-            chaos=args.chaos_profile,
+            spec, shards=args.shards, backend=args.shard_backend or "serial"
         )
     except ValueError as exc:
         print(exc, file=sys.stderr)
@@ -192,21 +186,20 @@ def _cmd_crowd_sharded(args: argparse.Namespace) -> int:
 
 
 def _cmd_crowd(args: argparse.Namespace) -> int:
-    if (args.shards or 1) > 1:
-        return _cmd_crowd_sharded(args)
-    d2d = run_crowd_scenario(
+    spec = CrowdSpec(
         n_devices=args.devices, relay_fraction=args.relay_fraction,
         duration_s=args.duration, mobile_fraction=args.mobile_fraction,
-        seed=args.seed, mode="d2d",
+        seed=args.seed,
         chaos=args.chaos_profile, chaos_seed=args.chaos_seed,
         channel=args.channel, allocator=args.allocator,
         num_rbs=args.num_rbs, shadowing_sigma_db=args.shadowing_sigma,
         selection_policy=args.selection_policy,
     )
+    if (args.shards or 1) > 1:
+        return _cmd_crowd_sharded(args, spec)
+    d2d = run_crowd_scenario(spec)
     base = run_crowd_scenario(
-        n_devices=args.devices, relay_fraction=args.relay_fraction,
-        duration_s=args.duration, mobile_fraction=args.mobile_fraction,
-        seed=args.seed, mode="original",
+        dataclasses.replace(spec, mode="original", chaos=None)
     )
     print(format_table(
         ["", "L3 msgs", "peak L3/s", "Energy (µAh)", "On-time"],

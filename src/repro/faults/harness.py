@@ -124,7 +124,7 @@ def _run_scenario(
             selection_policy=selection_policy,
         )
     if scenario == "crowd":
-        return scenarios.run_crowd_scenario(
+        return scenarios.run_crowd_scenario(scenarios.CrowdSpec(
             n_devices=n_devices,
             duration_s=duration_s,
             seed=seed,
@@ -133,7 +133,7 @@ def _run_scenario(
             audit=True,
             channel=channel,
             selection_policy=selection_policy,
-        )
+        ))
     raise ValueError(f"unknown scenario {scenario!r}; known: {SCENARIOS}")
 
 

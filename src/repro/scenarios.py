@@ -8,7 +8,8 @@ Three scenario families, mirroring the paper's evaluation setups:
   system (``mode="original"``) over the same device layout.
 - :func:`run_crowd_scenario` — a clustered crowd in an arena with a
   fraction of devices acting as relays; the signaling-storm setting the
-  paper motivates.
+  paper motivates. One :class:`CrowdSpec` describes the run, for this
+  kernel and the cell-sharded one alike.
 - :func:`build_network` — the shared substrate wiring, reusable for
   hand-rolled experiments.
 - :func:`relay_savings_runner` / :func:`crowd_metrics_runner` — picklable
@@ -356,22 +357,6 @@ def _spread_phases(n: int, low: float = 0.3, high: float = 0.8) -> List[float]:
     return [low + i * step for i in range(n)]
 
 
-def _apply_selection_policy(
-    match_config: Optional[MatchConfig], selection_policy: Optional[str]
-) -> Optional[MatchConfig]:
-    """Overlay the scalar ``selection_policy`` knob onto a match config.
-
-    The scalar exists so picklable grid runners and the CLI can select a
-    policy without constructing (unpicklable-through-argv) dataclasses;
-    ``None`` leaves the config untouched.
-    """
-    if selection_policy is None:
-        return match_config
-    return dataclasses.replace(
-        match_config or MatchConfig(), selection_policy=selection_policy
-    )
-
-
 def run_relay_scenario(
     n_ues: int = 1,
     distance_m: float = 1.0,
@@ -425,7 +410,10 @@ def run_relay_scenario(
         raise ValueError(f"mode must be 'd2d' or 'original', got {mode!r}")
     if heartbeat_bytes is not None:
         app = dataclasses.replace(app, heartbeat_bytes=heartbeat_bytes)
-    match_config = _apply_selection_policy(match_config, selection_policy)
+    if selection_policy is not None:
+        match_config = dataclasses.replace(
+            match_config or MatchConfig(), selection_policy=selection_policy
+        )
     context = build_network(
         seed=seed,
         profile=profile,
@@ -607,58 +595,19 @@ def crowd_metrics_runner(
     ``shard_backend`` choosing serial or process execution; the sharded
     kernel rejects the channel, chaos and audit options it cannot honor.
     ``shards=1`` runs the unsharded kernel, whose result one shard
-    reproduces exactly.
+    reproduces exactly. Either way the run is one :class:`CrowdSpec`.
     """
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
-    if hotspots is None:
-        hotspots = max(2, n_devices // 20)
-    if shards > 1:
-        from repro.shard import run_crowd_scenario_sharded
-
-        sharded = run_crowd_scenario_sharded(
-            n_devices=n_devices,
-            relay_fraction=relay_fraction,
-            duration_s=duration_s,
-            arena=Arena(arena_m, arena_m),
-            hotspots=hotspots,
-            mobile_fraction=mobile_fraction,
-            seed=seed,
-            mode=mode,
-            heartbeat_period_s=heartbeat_period_s,
-            shards=shards,
-            backend=shard_backend,
-            channel=channel,
-            shadowing_sigma_db=shadowing_sigma_db,
-            selection_policy=selection_policy,
-            chaos=chaos_profile,
-            audit=audit,
-        )
-        delivery = sharded.metrics.delivery
-        return {
-            "events_fired": float(sharded.events_fired),
-            "on_time_fraction": (
-                delivery.on_time_fraction if delivery else 1.0
-            ),
-            "received": float(delivery.received if delivery else 0),
-            "total_l3": float(sharded.metrics.total_l3_messages),
-            "system_uah": sharded.metrics.total_energy_uah(),
-            "shards": float(shards),
-            "windows": float(sharded.windows),
-            "handovers": float(sharded.handovers),
-            "ghost_registrations": float(sharded.ghost_registrations),
-            "device_skew": sharded.device_skew,
-            "critical_path_s": sharded.critical_path_s,
-        }
     app = STANDARD_APP
     if heartbeat_period_s is not None:
         app = dataclasses.replace(app, heartbeat_period_s=heartbeat_period_s)
-    result = run_crowd_scenario(
+    spec = CrowdSpec(
         n_devices=n_devices,
         relay_fraction=relay_fraction,
         duration_s=duration_s,
         arena=Arena(arena_m, arena_m),
-        hotspots=hotspots,
+        hotspots=max(2, n_devices // 20) if hotspots is None else hotspots,
         mobile_fraction=mobile_fraction,
         seed=seed,
         mode=mode,
@@ -672,24 +621,46 @@ def crowd_metrics_runner(
         selection_policy=selection_policy,
         audit=audit,
     )
-    delivery = result.metrics.delivery
+    if shards > 1:
+        from repro.shard import run_crowd_scenario_sharded
+
+        result = run_crowd_scenario_sharded(
+            spec, shards=shards, backend=shard_backend
+        )
+        events_fired = result.events_fired
+    else:
+        result = run_crowd_scenario(spec)
+        events_fired = result.context.sim.events_fired
+    metrics = result.metrics
+    delivery = metrics.delivery
     out = {
-        "events_fired": float(result.context.sim.events_fired),
-        "on_time_fraction": result.on_time_fraction(),
+        "events_fired": float(events_fired),
+        "on_time_fraction": delivery.on_time_fraction if delivery else 1.0,
         "received": float(delivery.received if delivery else 0),
-        "total_l3": float(result.total_l3()),
-        "system_uah": result.system_energy_uah(),
+        "total_l3": float(metrics.total_l3_messages),
+        "system_uah": metrics.total_energy_uah(),
     }
+    if shards > 1:
+        out.update(
+            shards=float(shards),
+            windows=float(result.windows),
+            handovers=float(result.handovers),
+            ghost_registrations=float(result.ghost_registrations),
+            device_skew=result.device_skew,
+            critical_path_s=result.critical_path_s,
+        )
+        return out
     if chaos_profile is not None or result.audit_report is not None:
         out["audit_violations"] = float(
             len(result.audit_report.violations) if result.audit_report else 0
         )
         out["deadline_safe_fraction"] = result.deadline_safe_fraction()
-    if result.metrics.channel is not None:
-        stats = result.metrics.channel
-        out["channel_transfers"] = float(stats["transfers"])
-        out["channel_mean_rate_bps"] = float(stats["mean_rate_bps"] or 0.0)
-        out["channel_rb_utilization"] = float(stats["rb_utilization"])
+    if metrics.channel is not None:
+        out["channel_transfers"] = float(metrics.channel["transfers"])
+        out["channel_mean_rate_bps"] = float(
+            metrics.channel["mean_rate_bps"] or 0.0
+        )
+        out["channel_rb_utilization"] = float(metrics.channel["rb_utilization"])
     return out
 
 
@@ -833,7 +804,6 @@ def crowd_layout(
     hotspot_spread_m: float = 8.0,
     mobile_fraction: float = 0.0,
     relay_selection: str = "roundrobin",
-    pair_range_m: Optional[float] = None,
 ) -> CrowdLayout:
     """The crowd both kernels simulate, drawn from the master seed.
 
@@ -843,8 +813,8 @@ def crowd_layout(
     index order, so the unsharded run and every shard of a sharded run
     see the same crowd. ``relay_selection`` picks who the operator
     appoints: ``"roundrobin"`` (the first devices of each hotspot),
-    ``"greedy"`` (dominating-set planning over ``pair_range_m``, default
-    the matcher's pair range) or ``"random"``.
+    ``"greedy"`` (dominating-set planning over the matcher's pair range)
+    or ``"random"``.
     """
     if not 0.0 <= relay_fraction <= 1.0:
         raise ValueError(f"relay_fraction out of [0,1]: {relay_fraction}")
@@ -873,10 +843,10 @@ def crowd_layout(
             for i, mobility in enumerate(mobilities)
         ]
         if relay_selection == "greedy":
-            if pair_range_m is None:
-                pair_range_m = MatchConfig().max_pair_distance_m
             chosen = greedy_relay_selection(
-                participants, range_m=pair_range_m, max_relays=n_relays
+                participants,
+                range_m=MatchConfig().max_pair_distance_m,
+                max_relays=n_relays,
             )
         else:  # random
             chosen = random_relay_selection(
@@ -886,6 +856,101 @@ def crowd_layout(
     phase_rng = make_rng(seed, "crowd-phases")
     phases = [phase_rng.random() for _ in mobilities]
     return CrowdLayout(mobilities, relay_indices, phases)
+
+
+@dataclasses.dataclass(frozen=True)
+class CrowdSpec:
+    """One crowd run, on either kernel.
+
+    Every crowd entry point builds from a spec:
+    :func:`run_crowd_scenario` runs it on one simulator and
+    :func:`repro.shard.run_crowd_scenario_sharded` across cell shards,
+    which reject the options they cannot honor. Frozen and picklable, so
+    the sharded kernel ships it to its worker processes as is; the
+    original-system baseline of a run is ``dataclasses.replace(spec,
+    mode="original")``.
+
+    ``relay_fraction`` of the devices volunteer as relays (the rest are
+    UEs, or everything is standalone in ``mode="original"``); placement,
+    relay choice (``relay_selection``) and phases come from
+    :meth:`layout`. ``chaos`` (a :class:`repro.faults.ChaosProfile` or
+    its name) layers fault processes on the run, seeded by
+    ``chaos_seed`` (default: ``seed``); ``audit`` runs the invariant
+    auditor (default: on whenever chaos is on). ``channel="sinr"`` prices
+    transfers over ``num_rbs`` resource blocks assigned by ``allocator``
+    (see :func:`build_network`). ``storm_scan_period_s`` makes every
+    device advertise and scan at that period (see
+    :func:`start_discovery_storm`).
+    """
+
+    n_devices: int = 40
+    relay_fraction: float = 0.2
+    arena: Arena = Arena(60.0, 60.0)
+    duration_s: float = 1800.0
+    hotspots: int = 3
+    hotspot_spread_m: float = 8.0
+    mobile_fraction: float = 0.0
+    seed: int = 0
+    mode: str = "d2d"
+    app: AppProfile = STANDARD_APP
+    capacity: int = 10
+    relay_selection: str = "roundrobin"
+    selection_policy: Optional[str] = None
+    drain_s: float = DEFAULT_DRAIN_S
+    storm_scan_period_s: Optional[float] = None
+    chaos: Optional[object] = None
+    chaos_seed: Optional[int] = None
+    audit: Optional[bool] = None
+    channel: Optional[str] = None
+    allocator: str = "centralized"
+    num_rbs: int = 6
+    shadowing_sigma_db: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("d2d", "original"):
+            raise ValueError(
+                f"mode must be 'd2d' or 'original', got {self.mode!r}"
+            )
+        if not self.hotspot_spread_m >= 0.0:
+            raise ValueError(
+                f"hotspot_spread_m must be non-negative, "
+                f"got {self.hotspot_spread_m}"
+            )
+        if not self.drain_s >= 0.0:
+            raise ValueError(f"drain_s must be non-negative, got {self.drain_s}")
+        if self.storm_scan_period_s is not None and self.mode != "d2d":
+            raise ValueError(
+                "storm_scan_period_s needs mode='d2d' (the original system "
+                "has no D2D radio to scan with)"
+            )
+
+    @classmethod
+    def of(cls, spec: Optional["CrowdSpec"], fields: Dict[str, object]) -> "CrowdSpec":
+        """``spec`` with ``fields`` replaced, or ``CrowdSpec(**fields)``."""
+        return cls(**fields) if spec is None else dataclasses.replace(spec, **fields)
+
+    def layout(self) -> CrowdLayout:
+        """The whole crowd, from the master seed (see :func:`crowd_layout`)."""
+        return crowd_layout(
+            self.n_devices,
+            self.relay_fraction,
+            self.arena,
+            self.seed,
+            hotspots=self.hotspots,
+            hotspot_spread_m=self.hotspot_spread_m,
+            mobile_fraction=self.mobile_fraction,
+            relay_selection=self.relay_selection,
+        )
+
+    def match_config(self) -> MatchConfig:
+        """The relay matcher's config, ranking by ``selection_policy``.
+
+        On the fixed channel there is no rate to rank by, so ``"rate"``
+        and ``"hybrid"`` rank by distance there.
+        """
+        if self.selection_policy is None:
+            return MatchConfig()
+        return MatchConfig(selection_policy=self.selection_policy)
 
 
 #: ``attach(layout_index, device_id)`` -> the device's ``(ledger,
@@ -907,15 +972,10 @@ class CrowdDevices(NamedTuple):
 
 def build_crowd(
     sim: Simulator,
+    spec: CrowdSpec,
     layout: CrowdLayout,
     attach: CellAttach,
     medium: Optional[D2DMedium],
-    mode: str = "d2d",
-    app: AppProfile = STANDARD_APP,
-    capacity: int = 10,
-    match_config: Optional[MatchConfig] = None,
-    profile: EnergyProfile = DEFAULT_PROFILE,
-    rrc_profile: RrcProfile = WCDMA_PROFILE,
 ) -> CrowdDevices:
     """Turn a crowd layout into devices, in index order, for either kernel.
 
@@ -924,19 +984,20 @@ def build_crowd(
     cell: ``relay-<i>`` for the layout's relays, ``dev-<i>`` for the
     rest. Relays beat at phase 0, everyone else at their layout phase.
     """
+    mode = spec.mode
     framework: Optional[HeartbeatRelayFramework] = None
     original: Optional[OriginalSystem] = None
     if mode == "d2d":
         framework = HeartbeatRelayFramework(
             [],
-            app=app,
+            app=spec.app,
             config=FrameworkConfig(
-                scheduler=SchedulerConfig(capacity=capacity),
-                matching=match_config or MatchConfig(),
+                scheduler=SchedulerConfig(capacity=spec.capacity),
+                matching=spec.match_config(),
             ),
         )
     else:
-        original = OriginalSystem([], app=app)
+        original = OriginalSystem([], app=spec.app)
     crowd = CrowdDevices({}, [], [], framework, original)
     for i, (mobility, phase) in enumerate(zip(layout.mobilities, layout.phases)):
         is_relay = i in layout.relay_indices and mode == "d2d"
@@ -958,8 +1019,6 @@ def build_crowd(
             ledger=ledger,
             basestation=basestation,
             d2d_medium=medium,
-            profile=profile,
-            rrc_profile=rrc_profile,
         )
         crowd.devices[device_id] = device
         (crowd.relay_ids if is_relay else crowd.ue_ids).append(device_id)
@@ -970,95 +1029,77 @@ def build_crowd(
     return crowd
 
 
+def start_discovery_storm(
+    sim: Simulator,
+    medium: D2DMedium,
+    devices: Dict[str, Smartphone],
+    scan_period_s: float,
+) -> None:
+    """Every one of ``devices`` advertises and scans every ``scan_period_s``."""
+    for device_id in devices:
+        endpoint = medium.endpoint(device_id)
+        endpoint.advertising = True
+        endpoint.advertisement.setdefault("storm", 1)
+
+        def tick(did: str = device_id) -> None:
+            if medium.endpoint(did).powered_on:
+                medium.discover(did, lambda peers: None)
+
+        sim.every(scan_period_s, tick, name=f"storm-{device_id}")
+
+
 def run_crowd_scenario(
-    n_devices: int = 40,
-    relay_fraction: float = 0.2,
-    arena: Optional[Arena] = None,
-    mode: str = "d2d",
-    app: AppProfile = STANDARD_APP,
-    duration_s: float = 1800.0,
-    hotspots: int = 3,
-    hotspot_spread_m: float = 8.0,
-    mobile_fraction: float = 0.0,
-    capacity: int = 10,
-    seed: int = 0,
-    technology: D2DTechnology = WIFI_DIRECT,
-    profile: EnergyProfile = DEFAULT_PROFILE,
-    rrc_profile: RrcProfile = WCDMA_PROFILE,
-    match_config: Optional[MatchConfig] = None,
-    drain_s: float = DEFAULT_DRAIN_S,
-    relay_selection: str = "roundrobin",
+    spec: Optional[CrowdSpec] = None,
+    *,
     pre_run: Optional[Callable[[NetworkContext, Dict[str, Smartphone]], None]] = None,
-    chaos=None,
-    chaos_seed: Optional[int] = None,
-    audit: Optional[bool] = None,
-    channel: Optional[str] = None,
-    allocator: str = "centralized",
-    num_rbs: int = 6,
-    shadowing_sigma_db: Optional[float] = None,
-    selection_policy: Optional[str] = None,
+    **fields,
 ) -> ScenarioResult:
     """A dense crowd: the signaling-storm setting of the paper's Sec. I.
+
+    Runs ``spec``; keyword ``fields`` build it (``CrowdSpec(**fields)``)
+    or replace those fields of a given ``spec``. The devices come from
+    :func:`build_crowd` over :meth:`CrowdSpec.layout`; the sharded kernel
+    builds its shards with the same two.
 
     ``pre_run(context, devices)`` is called after wiring but before the
     clock starts — the hook for attaching extra instrumentation or
     scheduling additional traffic (e.g. push notifications).
-
-    ``relay_fraction`` of devices volunteer as relays; the rest are UEs
-    (or everything standalone in ``mode="original"``). Placement, relay
-    choice (``relay_selection``) and phases come from
-    :func:`crowd_layout`, the devices from :func:`build_crowd`; the
-    sharded kernel builds its shards with the same two functions.
     """
-    if mode not in ("d2d", "original"):
-        raise ValueError(f"mode must be 'd2d' or 'original', got {mode!r}")
-    match_config = _apply_selection_policy(match_config, selection_policy)
-    layout = crowd_layout(
-        n_devices,
-        relay_fraction,
-        arena or Arena(60.0, 60.0),
-        seed,
-        hotspots=hotspots,
-        hotspot_spread_m=hotspot_spread_m,
-        mobile_fraction=mobile_fraction,
-        relay_selection=relay_selection,
-        pair_range_m=(match_config or MatchConfig()).max_pair_distance_m,
-    )
+    spec = CrowdSpec.of(spec, fields)
+    layout = spec.layout()
     context = build_network(
-        seed=seed,
-        profile=profile,
-        rrc_profile=rrc_profile,
-        technology=technology if mode == "d2d" else None,
-        channel=channel,
-        allocator=allocator,
-        num_rbs=num_rbs,
-        shadowing_sigma_db=shadowing_sigma_db,
+        seed=spec.seed,
+        technology=WIFI_DIRECT if spec.mode == "d2d" else None,
+        channel=spec.channel,
+        allocator=spec.allocator,
+        num_rbs=spec.num_rbs,
+        shadowing_sigma_db=spec.shadowing_sigma_db,
     )
     crowd = build_crowd(
         context.sim,
+        spec,
         layout,
         lambda _index, _device_id: (context.ledger, context.basestation),
         context.medium,
-        mode=mode,
-        app=app,
-        capacity=capacity,
-        match_config=match_config,
-        profile=profile,
-        rrc_profile=rrc_profile,
     )
     devices, framework, original = crowd.devices, crowd.framework, crowd.original
 
     auditor, engine = _attach_faults(
-        context, devices, framework, original, chaos, chaos_seed, audit, seed
+        context, devices, framework, original,
+        spec.chaos, spec.chaos_seed, spec.audit, spec.seed,
     )
+    if spec.storm_scan_period_s is not None:
+        start_discovery_storm(
+            context.sim, context.medium, devices, spec.storm_scan_period_s
+        )
     if pre_run is not None:
         pre_run(context, devices)
-    context.sim.run_until(max(0.0, duration_s - 1.0))
+    context.sim.run_until(max(0.0, spec.duration_s - 1.0))
     if framework is not None:
         framework.shutdown()
     if original is not None:
         original.shutdown()
-    horizon = duration_s + drain_s
+    horizon = spec.duration_s + spec.drain_s
     context.sim.run_until(horizon)
     faults = _fault_metrics(
         engine, auditor, horizon, framework, original=original, context=context
@@ -1069,7 +1110,6 @@ def run_crowd_scenario(
         perf=context.medium.perf.to_dict() if context.medium else None,
         channel=_channel_snapshot(context, horizon),
     )
-    periods = max(1, int(duration_s / app.heartbeat_period_s))
     return ScenarioResult(
         context=context,
         metrics=metrics,
@@ -1078,8 +1118,8 @@ def run_crowd_scenario(
         ue_ids=crowd.ue_ids,
         framework=framework,
         original=original,
-        app=app,
-        periods=periods,
+        app=spec.app,
+        periods=max(1, int(spec.duration_s / spec.app.heartbeat_period_s)),
         chaos_report=engine.report if engine is not None else None,
         audit_report=auditor.report if auditor is not None else None,
     )

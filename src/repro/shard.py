@@ -55,10 +55,11 @@ With several shards the run is not the unsharded one: shard ``i ≥ 1``
 draws its own ``child_seed(seed, "shard:i")`` stream, and border
 discovery sees frozen ghosts instead of live peers.
 
-Every shard reads the full crowd layout (placement, roles, phases) from
-:func:`repro.scenarios.crowd_layout` and builds its own devices with
-:func:`repro.scenarios.build_crowd`, the two functions the unsharded
-kernel uses — no layout data ever needs to cross a process boundary.
+Both kernels run one :class:`~repro.scenarios.CrowdSpec`. Every shard
+reads the full crowd layout (placement, roles, phases) from
+:meth:`~repro.scenarios.CrowdSpec.layout` and builds its own devices
+with :func:`repro.scenarios.build_crowd`, as the unsharded kernel does —
+no layout data ever needs to cross a process boundary.
 """
 
 from __future__ import annotations
@@ -82,11 +83,15 @@ from repro.energy.model import EnergyModel
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.metrics import DeliveryMetrics, RunMetrics, collect_metrics
 from repro.mobility.models import StaticMobility, TrajectoryBatch
-from repro.mobility.space import Arena, Position
-from repro.scenarios import DEFAULT_DRAIN_S, CrowdLayout, build_crowd, crowd_layout
+from repro.mobility.space import Position
+from repro.scenarios import (
+    CrowdLayout,
+    CrowdSpec,
+    build_crowd,
+    start_discovery_storm,
+)
 from repro.sim.engine import Simulator
 from repro.sim.rng import child_seed
-from repro.workload.apps import STANDARD_APP
 from repro.workload.server import IMServer
 
 
@@ -253,48 +258,24 @@ class ShardPlan:
         return targets
 
 
+#: How far a border device's ghost reaches into a foreign shard: the
+#: D2D range of the one technology the shards run.
+GHOST_MARGIN_M = WIFI_DIRECT.max_range_m
+
+
 @dataclasses.dataclass(frozen=True)
 class CrowdShardParams:
-    """Plain-scalar description of one sharded crowd run.
+    """One sharded crowd run: the crowd's :class:`CrowdSpec` plus its tiling.
 
     Frozen and picklable on purpose: this is the *only* object shipped to
     worker processes — each worker rebuilds its entire world from it.
-    ``storm_scan_period_s`` replaces the unsharded runner's ``pre_run``
-    callable (unpicklable) with the one storm knob the benches use.
     """
 
-    n_devices: int = 40
-    relay_fraction: float = 0.2
-    duration_s: float = 1800.0
-    arena_w: float = 60.0
-    arena_h: float = 60.0
-    hotspots: int = 3
-    hotspot_spread_m: float = 8.0
-    mobile_fraction: float = 0.0
-    seed: int = 0
-    capacity: int = 10
-    relay_selection: str = "roundrobin"
-    drain_s: float = DEFAULT_DRAIN_S
-    heartbeat_period_s: Optional[float] = None
-    storm_scan_period_s: Optional[float] = None
+    spec: CrowdSpec = dataclasses.field(default_factory=CrowdSpec)
     n_shards: int = 2
     cells_x: int = 4
     cells_y: int = 2
     sync_window_s: float = 5.0
-    ghost_margin_m: float = WIFI_DIRECT.max_range_m
-
-    def layout(self) -> CrowdLayout:
-        """The whole crowd, from the master seed (see :func:`crowd_layout`)."""
-        return crowd_layout(
-            self.n_devices,
-            self.relay_fraction,
-            Arena(self.arena_w, self.arena_h),
-            self.seed,
-            hotspots=self.hotspots,
-            hotspot_spread_m=self.hotspot_spread_m,
-            mobile_fraction=self.mobile_fraction,
-            relay_selection=self.relay_selection,
-        )
 
     def home_cells(self, layout: CrowdLayout) -> List[int]:
         """Each layout device's grid cell at t=0, in layout order.
@@ -303,9 +284,10 @@ class CrowdShardParams:
         the network attaches the device to at build, and so (through the
         plan's ``cell_shards``) its home shard.
         """
+        arena = self.spec.arena
         return nearest_cells(
             grid_cell_positions(
-                self.arena_w, self.arena_h, self.cells_x, self.cells_y
+                arena.width, arena.height, self.cells_x, self.cells_y
             ),
             [m.position(0.0) for m in layout.mobilities],
         )
@@ -314,15 +296,15 @@ class CrowdShardParams:
         """Build the partition every shard worker independently agrees on.
 
         The tile cost model counts the crowd's home cells. Every worker
-        reads them from the same :meth:`layout` and so computes identical
-        weights — no plan data crosses a process boundary. Pass
+        reads them from the same :meth:`CrowdSpec.layout` and so computes
+        identical weights — no plan data crosses a process boundary. Pass
         ``home_cells`` when they are already computed.
         """
         if home_cells is None:
-            home_cells = self.home_cells(self.layout())
+            home_cells = self.home_cells(self.spec.layout())
         return ShardPlan(
             self.n_shards, self.cells_x, self.cells_y,
-            self.arena_w, self.arena_h,
+            self.spec.arena.width, self.spec.arena.height,
             cell_weights=cell_occupancy(home_cells, self.cells_x * self.cells_y),
         )
 
@@ -353,26 +335,20 @@ class _ShardState:
     def __init__(self, shard_index: int, params: CrowdShardParams) -> None:
         self.shard_index = shard_index
         self.params = params
-        layout = params.layout()
+        spec = params.spec
+        layout = spec.layout()
         home_cells = params.home_cells(layout)
         self.plan = params.plan(home_cells)
         # shard 0 draws the unsharded run's stream, so one shard is the
         # unsharded run; every other shard gets a stream of its own
         self.sim = Simulator(
-            seed=params.seed if shard_index == 0
-            else child_seed(params.seed, f"shard:{shard_index}")
+            seed=spec.seed if shard_index == 0
+            else child_seed(spec.seed, f"shard:{shard_index}")
         )
         self.network = CellularNetwork(self.sim, self.plan.cell_positions)
         self.server = IMServer(self.sim)
         self.network.attach_sink_everywhere(self.server.uplink_sink)
         self.medium = D2DMedium(self.sim, WIFI_DIRECT, profile=DEFAULT_PROFILE)
-
-        app = STANDARD_APP
-        if params.heartbeat_period_s is not None:
-            app = dataclasses.replace(
-                app, heartbeat_period_s=params.heartbeat_period_s
-            )
-
         cell_shards = self.plan.cell_shards
 
         def attach(index: int, device_id: str):
@@ -382,10 +358,7 @@ class _ShardState:
             cell = self.network.attach_cell(device_id, cell_index)
             return cell.ledger, cell.basestation
 
-        crowd = build_crowd(
-            self.sim, layout, attach, self.medium, app=app,
-            capacity=params.capacity,
-        )
+        crowd = build_crowd(self.sim, spec, layout, attach, self.medium)
         self.devices = crowd.devices
         self.framework = crowd.framework
 
@@ -409,7 +382,7 @@ class _ShardState:
             rows = positions[start:start + _STATIC_ROWS]
             targets += self.plan.border_targets(
                 cell_distances(self.plan.cell_positions, rows),
-                shard_index, params.ghost_margin_m,
+                shard_index, GHOST_MARGIN_M,
             )
         #: the statics a foreign shard may ghost, as fixed report entries
         self._static_border: List[ReportEntry] = [
@@ -421,23 +394,10 @@ class _ShardState:
         self.handovers = 0
         self.ghost_registrations = 0
         self._ghosts: Dict[str, GhostEntry] = {}
-        if params.storm_scan_period_s is not None:
-            self._setup_storm(params.storm_scan_period_s)
-
-    # ------------------------------------------------------------------
-    def _setup_storm(self, scan_period_s: float) -> None:
-        """Every own device advertises and scans periodically."""
-        medium, sim = self.medium, self.sim
-        for device_id in self.devices:
-            endpoint = medium.endpoint(device_id)
-            endpoint.advertising = True
-            endpoint.advertisement.setdefault("storm", 1)
-
-            def tick(did: str = device_id) -> None:
-                if medium.endpoint(did).powered_on:
-                    medium.discover(did, lambda peers: None)
-
-            sim.every(scan_period_s, tick, name=f"storm-{device_id}")
+        if spec.storm_scan_period_s is not None:
+            start_discovery_storm(
+                self.sim, self.medium, self.devices, spec.storm_scan_period_s
+            )
 
     # ------------------------------------------------------------------
     # window protocol
@@ -546,7 +506,7 @@ class _ShardState:
             if endpoint.advertising and endpoint.powered_on:
                 report.append(entry)
         targets = self.plan.border_targets(
-            distances, self.shard_index, self.params.ghost_margin_m
+            distances, self.shard_index, GHOST_MARGIN_M
         )
         for device, (x, y), device_targets in zip(self._movers, positions, targets):
             if not device_targets:
@@ -562,7 +522,8 @@ class _ShardState:
     def finish(self) -> Tuple[RunMetrics, Dict[str, int]]:
         """Shutdown, drain, and snapshot this shard's metrics."""
         self.framework.shutdown()
-        horizon = self.params.duration_s + self.params.drain_s
+        spec = self.params.spec
+        horizon = spec.duration_s + spec.drain_s
         self.sim.run_until(horizon)
         metrics = collect_metrics(
             self.devices.values(),
@@ -788,51 +749,37 @@ class ShardedRunResult:
 
 
 def run_crowd_scenario_sharded(
-    n_devices: int = 40,
-    relay_fraction: float = 0.2,
-    duration_s: float = 1800.0,
-    arena: Optional[Arena] = None,
-    hotspots: int = 3,
-    hotspot_spread_m: float = 8.0,
-    mobile_fraction: float = 0.0,
-    capacity: int = 10,
-    seed: int = 0,
-    relay_selection: str = "roundrobin",
-    drain_s: float = DEFAULT_DRAIN_S,
-    heartbeat_period_s: Optional[float] = None,
-    storm_scan_period_s: Optional[float] = None,
+    spec: Optional[CrowdSpec] = None,
+    *,
     shards: int = 2,
     cells_x: Optional[int] = None,
     cells_y: int = 2,
     sync_window_s: float = 5.0,
-    ghost_margin_m: float = WIFI_DIRECT.max_range_m,
-    shard_plan: str = "tiles",
     backend: str = "serial",
-    mode: str = "d2d",
-    channel: Optional[str] = None,
-    shadowing_sigma_db: Optional[float] = None,
-    selection_policy: Optional[str] = None,
-    chaos=None,
-    audit: Optional[bool] = None,
+    shard_plan: str = "tiles",
+    **fields,
 ) -> ShardedRunResult:
     """Run a crowd scenario on the cell-sharded kernel.
 
-    ``backend="serial"`` runs every shard in this process (the reference
-    implementation); ``backend="process"`` runs one worker process per
-    shard. Both execute the identical window protocol and must produce
-    byte-identical merged metrics. Cells are partitioned into
-    load-balanced rectangular tiles (see :class:`ShardPlan`);
-    ``shard_plan`` accepts only ``"tiles"``.
+    Runs ``spec``; keyword ``fields`` build it or replace its fields, as
+    in :func:`~repro.scenarios.run_crowd_scenario`. The rest are shard
+    settings: ``shards`` tiles over a ``cells_x × cells_y`` cell grid
+    (``cells_x`` defaults to twice the shard count), synchronised every
+    ``sync_window_s`` simulated seconds. ``backend="serial"`` runs every
+    shard in this process (the reference implementation);
+    ``backend="process"`` runs one worker process per shard. Both execute
+    the identical window protocol and must produce byte-identical merged
+    metrics. Cells are partitioned into load-balanced rectangular tiles
+    (see :class:`ShardPlan`); ``shard_plan`` accepts only ``"tiles"``.
 
-    The ``mode``/``channel``/``shadowing_sigma_db``/``selection_policy``/
-    ``chaos``/``audit`` parameters exist only to make unsupported
-    combinations loud: the sharded kernel currently runs the d2d
-    framework on the fixed-cost channel with the default link model and
-    the distance ranking, without fault injection. Options it cannot
-    honor raise rather than silently computing something different — and
-    the error lists *every* offending option at once, so a sweep config
-    with several bad knobs needs one round trip to fix, not several.
+    The sharded kernel runs the d2d framework on the fixed-cost channel
+    with the default link model, without fault injection. Spec options
+    it cannot honor raise rather than silently computing something
+    different — and the error lists *every* offending option at once, so
+    a sweep config with several bad knobs needs one round trip to fix,
+    not several.
     """
+    spec = CrowdSpec.of(spec, fields)
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
     if backend not in ("serial", "process"):
@@ -842,32 +789,27 @@ def run_crowd_scenario_sharded(
         blockers.append(
             f"shard_plan={shard_plan!r} (tiles are the only partition)"
         )
-    if mode != "d2d":
+    if spec.mode != "d2d":
         blockers.append(
-            f"mode={mode!r} (only the d2d framework is sharded; the "
+            f"mode={spec.mode!r} (only the d2d framework is sharded; the "
             f"original system needs the single global ledger)"
         )
-    if channel not in (None, "fixed"):
+    if spec.channel not in (None, "fixed"):
         blockers.append(
-            f"channel={channel!r} (the SINR channel's shared resource "
+            f"channel={spec.channel!r} (the SINR channel's shared resource "
             f"blocks are global state)"
         )
-    if shadowing_sigma_db is not None:
+    if spec.shadowing_sigma_db is not None:
         blockers.append(
-            f"shadowing_sigma_db={shadowing_sigma_db!r} (shards run the "
+            f"shadowing_sigma_db={spec.shadowing_sigma_db!r} (shards run the "
             f"default link model)"
         )
-    if selection_policy not in (None, "distance"):
+    if spec.chaos is not None:
         blockers.append(
-            f"selection_policy={selection_policy!r} (channel-aware ranking "
-            f"needs the SINR channel)"
-        )
-    if chaos is not None:
-        blockers.append(
-            f"chaos={chaos!r} (fault scheduling draws from one global "
+            f"chaos={spec.chaos!r} (fault scheduling draws from one global "
             f"chaos timeline)"
         )
-    if audit:
+    if spec.audit:
         blockers.append(
             "audit=True (the invariant auditor tracks cross-device "
             "global state)"
@@ -878,29 +820,12 @@ def run_crowd_scenario_sharded(
         )
     if sync_window_s <= 0:
         raise ValueError(f"sync_window_s must be positive, got {sync_window_s}")
-    arena = arena or Arena(60.0, 60.0)
-    if cells_x is None:
-        cells_x = max(2, 2 * shards)
     params = CrowdShardParams(
-        n_devices=n_devices,
-        relay_fraction=relay_fraction,
-        duration_s=duration_s,
-        arena_w=arena.width,
-        arena_h=arena.height,
-        hotspots=hotspots,
-        hotspot_spread_m=hotspot_spread_m,
-        mobile_fraction=mobile_fraction,
-        seed=seed,
-        capacity=capacity,
-        relay_selection=relay_selection,
-        drain_s=drain_s,
-        heartbeat_period_s=heartbeat_period_s,
-        storm_scan_period_s=storm_scan_period_s,
+        spec=spec,
         n_shards=shards,
-        cells_x=cells_x,
+        cells_x=max(2, 2 * shards) if cells_x is None else cells_x,
         cells_y=cells_y,
         sync_window_s=sync_window_s,
-        ghost_margin_m=ghost_margin_m,
     )
     params.plan()  # validate the partition before any worker starts
 
@@ -912,11 +837,13 @@ def run_crowd_scenario_sharded(
     barrier_wait_s = [0.0] * shards
     critical_path_s = 0.0
     try:
-        stop_at = max(0.0, duration_s - 1.0)
+        stop_at = max(0.0, spec.duration_s - 1.0)
         ghosts_by_shard: List[List[GhostEntry]] = [[] for _ in range(shards)]
         windows = 0
         t = 0.0
-        while t < stop_at:
+        # at least one window, so a run that stops at t=0 still fires
+        # its t=0 events before the shards shut down
+        while windows == 0 or t < stop_at:
             t = min(t + sync_window_s, stop_at)
             outcomes = runner.run_window(t, ghosts_by_shard)
             reports = [report for report, _work in outcomes]
@@ -935,7 +862,8 @@ def run_crowd_scenario_sharded(
         runner.close()
 
     metrics = _merge_metrics(
-        [metrics for metrics, _stats in results], duration_s + drain_s
+        [metrics for metrics, _stats in results],
+        spec.duration_s + spec.drain_s,
     )
     stats = [shard_stats for _metrics, shard_stats in results]
     shard_load = [

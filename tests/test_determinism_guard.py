@@ -22,7 +22,7 @@ from repro.d2d.wifi_direct import WIFI_DIRECT
 from repro.energy.model import EnergyModel
 from repro.mobility.models import LinearMobility, StaticMobility
 from repro.mobility.space import Arena
-from repro.scenarios import run_crowd_scenario
+from repro.scenarios import CrowdSpec, run_crowd_scenario
 from repro.shard import run_crowd_scenario_sharded
 from repro.sim.engine import Simulator
 from repro.workload.apps import STANDARD_APP
@@ -323,7 +323,7 @@ class TestLinkSupervisionIdentity:
 
 
 def _storm_hook(scan_period_s):
-    """``pre_run`` twin of the shards' ``storm_scan_period_s``."""
+    """``pre_run`` twin of the spec's ``storm_scan_period_s``."""
 
     def pre_run(context, devices):
         medium, sim = context.medium, context.sim
@@ -355,17 +355,18 @@ class TestOneShardIsUnsharded:
         arena=Arena(200.0, 120.0), hotspots=6, seed=3,
     )
 
-    def _assert_identical(self, unsharded=(), sharded=(), **kwargs):
-        """Run both kernels on one crowd; ``unsharded``/``sharded`` hold
-        the kernel-specific spellings of the same option."""
-        crowd = {**self.CROWD, **kwargs}
-        one_kernel = run_crowd_scenario(**crowd, **dict(unsharded))
-        one_shard = run_crowd_scenario_sharded(shards=1, **crowd, **dict(sharded))
+    def _assert_identical(self, **kwargs):
+        """Run both kernels on one crowd spec; returns the one-shard run."""
+        spec = CrowdSpec(**{**self.CROWD, **kwargs})
+        one_kernel = run_crowd_scenario(spec)
+        one_shard = run_crowd_scenario_sharded(spec, shards=1)
         assert (
             one_shard.metrics.to_comparable_dict()
             == one_kernel.metrics.to_comparable_dict()
         ), "one shard diverged from the unsharded run"
-        assert one_shard.metrics.delivery.relayed > 0
+        assert one_shard.metrics.total_l3_messages > 0
+        if spec.duration_s > 1.0:  # beats are emitted past t=0
+            assert one_shard.metrics.delivery.relayed > 0
         return one_shard
 
     @pytest.mark.parametrize("relay_selection", ["roundrobin", "greedy", "random"])
@@ -377,18 +378,37 @@ class TestOneShardIsUnsharded:
         assert one_shard.handovers > 0, "no mover crossed a cell border"
 
     def test_storm_hook(self):
-        self._assert_identical(
-            unsharded={"pre_run": _storm_hook(10.0)},
-            sharded={"storm_scan_period_s": 10.0},
+        one_shard = self._assert_identical(storm_scan_period_s=10.0)
+        # both kernels' storm equals the hand-written pre_run storm
+        hooked = run_crowd_scenario(pre_run=_storm_hook(10.0), **self.CROWD)
+        assert (
+            hooked.metrics.to_comparable_dict()
+            == one_shard.metrics.to_comparable_dict()
         )
 
     def test_heartbeat_period_override(self):
         self._assert_identical(
-            unsharded={
-                "app": dataclasses.replace(STANDARD_APP, heartbeat_period_s=45.0)
-            },
-            sharded={"heartbeat_period_s": 45.0},
+            app=dataclasses.replace(STANDARD_APP, heartbeat_period_s=45.0),
             relay_selection="random",
+        )
+
+    @pytest.mark.parametrize("duration_s", [0.5, 1.0])
+    def test_short_runs_keep_their_t0_beats(self, duration_s):
+        # beat emission stops at t=0 here; the one window must still run
+        # so the t=0 beats fire before the shard shuts down
+        one_shard = self._assert_identical(
+            duration_s=duration_s, mobile_fraction=0.3
+        )
+        assert one_shard.windows == 1
+
+    @pytest.mark.parametrize("selection_policy", ["rate", "hybrid"])
+    def test_channel_aware_policy_on_the_fixed_channel(self, selection_policy):
+        # no channel to predict rates from: both kernels rank by distance
+        one_shard = self._assert_identical(selection_policy=selection_policy)
+        distance = run_crowd_scenario(**self.CROWD)
+        assert (
+            one_shard.metrics.to_comparable_dict()
+            == distance.metrics.to_comparable_dict()
         )
 
 

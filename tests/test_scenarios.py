@@ -1,8 +1,17 @@
 """Tests for the canned scenarios (the bench workhorses)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.scenarios import build_network, run_crowd_scenario, run_relay_scenario
+from repro.scenarios import (
+    CrowdSpec,
+    build_network,
+    run_crowd_scenario,
+    run_relay_scenario,
+)
+from repro.shard import run_crowd_scenario_sharded
 from repro.workload.apps import STANDARD_APP
 
 T = STANDARD_APP.heartbeat_period_s
@@ -124,3 +133,39 @@ class TestCrowdScenario:
             run_crowd_scenario(relay_fraction=1.5)
         with pytest.raises(ValueError):
             run_crowd_scenario(mode="x")
+
+
+#: both crowd kernels, each fed the same keyword fields
+CROWD_KERNELS = pytest.mark.parametrize(
+    "run", [run_crowd_scenario, run_crowd_scenario_sharded],
+    ids=["unsharded", "sharded"],
+)
+
+
+class TestCrowdSpec:
+    """One spec describes a crowd run on either kernel."""
+
+    @CROWD_KERNELS
+    def test_negative_drain_fails_before_the_run(self, run):
+        # it used to raise SimulationError only after the whole run
+        with pytest.raises(ValueError, match="drain_s must be non-negative"):
+            run(n_devices=12, duration_s=60.0, drain_s=-4.0)
+
+    @CROWD_KERNELS
+    def test_negative_hotspot_spread_is_rejected(self, run):
+        # it used to be accepted without a word
+        with pytest.raises(ValueError, match="hotspot_spread_m"):
+            run(n_devices=12, duration_s=60.0, hotspot_spread_m=-1.0)
+
+    def test_spec_and_fields_give_one_run(self):
+        spec = CrowdSpec(n_devices=12, relay_fraction=0.25, duration_s=300.0)
+        by_spec = run_crowd_scenario(dataclasses.replace(spec, seed=3))
+        by_fields = run_crowd_scenario(spec, seed=3)
+        assert (
+            by_spec.metrics.to_comparable_dict()
+            == by_fields.metrics.to_comparable_dict()
+        )
+
+    def test_spec_pickles(self):
+        spec = CrowdSpec(n_devices=12, chaos="mild", selection_policy="rate")
+        assert pickle.loads(pickle.dumps(spec)) == spec

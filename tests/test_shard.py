@@ -13,8 +13,9 @@ from repro.cellular.network import (
 from repro.cli import main
 from repro.mobility.models import StaticMobility
 from repro.mobility.space import Arena
-from repro.scenarios import crowd_metrics_runner, run_crowd_scenario
+from repro.scenarios import CrowdSpec, crowd_metrics_runner, run_crowd_scenario
 from repro.shard import (
+    GHOST_MARGIN_M,
     CrowdShardParams,
     ShardPlan,
     _route_reports,
@@ -55,10 +56,13 @@ class TestShardPlan:
 
     def test_home_cells_follow_the_scalar_attachment_rule(self):
         params = CrowdShardParams(
-            n_devices=60, arena_w=400.0, arena_h=100.0, hotspots=4,
-            hotspot_spread_m=40.0, mobile_fraction=0.2, n_shards=2,
+            CrowdSpec(
+                n_devices=60, arena=Arena(400.0, 100.0), hotspots=4,
+                hotspot_spread_m=40.0, mobile_fraction=0.2,
+            ),
+            n_shards=2,
         )
-        layout = params.layout()
+        layout = params.spec.layout()
         home_cells = params.home_cells(layout)
         plan = params.plan(home_cells)
         assert home_cells == [
@@ -190,10 +194,10 @@ class TestBorderTargets:
 class TestWindowPasses:
     """Statics are settled at build; every window re-checks the movers."""
 
-    PARAMS = CrowdShardParams(
-        n_devices=60, arena_w=400.0, arena_h=120.0, hotspots=6,
+    PARAMS = CrowdShardParams(CrowdSpec(
+        n_devices=60, arena=Arena(400.0, 120.0), hotspots=6,
         mobile_fraction=0.3, seed=3, storm_scan_period_s=10.0,
-    )
+    ))
 
     def test_windows_never_ask_a_static_for_its_position(self):
         shard = _ShardState(0, self.PARAMS)
@@ -245,7 +249,7 @@ class TestWindowPasses:
                     if not (endpoint.advertising and endpoint.powered_on):
                         continue
                     targets = border_oracle(
-                        shard.plan, (x, y), index, self.PARAMS.ghost_margin_m
+                        shard.plan, (x, y), index, GHOST_MARGIN_M
                     )
                     if targets:
                         expected.append((device_id, x, y, device.role.value, targets))
@@ -262,7 +266,7 @@ class TestGhostMobility:
         # device's ghost, so the frozen position really is constant. The
         # old None (exact-check every scan) made every border device a
         # per-scan tax on the receiving shard.
-        shard = _ShardState(0, CrowdShardParams(n_devices=4))
+        shard = _ShardState(0, CrowdShardParams(CrowdSpec(n_devices=4)))
         shard.apply_ghosts([("dev-99", 3.0, 4.0, "ue")])
         ghost = shard.medium.endpoint("dev-99")
         assert ghost.mobility.max_speed_m_s() == 0.0
@@ -335,15 +339,10 @@ class TestUnsupportedCombinations:
             assert blocker in message
 
     def test_rejects_channel_options_instead_of_dropping_them(self):
-        # shadowing and the selection policy used to be dropped on the
-        # way to the shards, which then ran the defaults without a word
-        with pytest.raises(ValueError) as err:
-            run_crowd_scenario_sharded(
-                shadowing_sigma_db=12.0, selection_policy="rate"
-            )
-        message = str(err.value)
-        assert "shadowing_sigma_db=12.0" in message
-        assert "selection_policy='rate'" in message
+        # shadowing used to be dropped on the way to the shards, which
+        # then ran the default link model without a word
+        with pytest.raises(ValueError, match="shadowing_sigma_db=12.0"):
+            run_crowd_scenario_sharded(shadowing_sigma_db=12.0)
         with pytest.raises(ValueError, match="shadowing_sigma_db=12.0"):
             crowd_metrics_runner(
                 n_devices=60, duration_s=120.0, shards=2, seed=1,
@@ -351,7 +350,7 @@ class TestUnsupportedCombinations:
             )
         assert main([
             "crowd", "--shards", "2", "--duration", "60",
-            "--selection-policy", "rate",
+            "--shadowing-sigma", "12",
         ]) == 2
 
 
@@ -420,7 +419,7 @@ class TestOneCrowdLayout:
             pre_run=lambda _context, devices: unsharded.update(layout(devices)),
             **crowd,
         )
-        params = CrowdShardParams(arena_w=400.0, arena_h=120.0, **crowd)
+        params = CrowdShardParams(CrowdSpec(arena=Arena(400.0, 120.0), **crowd))
         sharded = {}
         for i in range(params.n_shards):
             shard_devices = layout(_ShardState(i, params).devices)
@@ -440,15 +439,17 @@ class TestHotspotCrowdBalance:
     hotspot load while the weighted tiles spread it.
     """
 
-    GEOMETRY = dict(
-        n_devices=20_000, arena_w=2400.0, arena_h=2400.0,
-        hotspots=12, hotspot_spread_m=60.0, mobile_fraction=0.1,
-        seed=2, n_shards=4, cells_x=10, cells_y=4,
+    PARAMS = CrowdShardParams(
+        CrowdSpec(
+            n_devices=20_000, arena=Arena(2400.0, 2400.0),
+            hotspots=12, hotspot_spread_m=60.0, mobile_fraction=0.1, seed=2,
+        ),
+        n_shards=4, cells_x=10, cells_y=4,
     )
 
     def _device_skew(self):
-        params = CrowdShardParams(**self.GEOMETRY)
-        layout = params.layout()
+        params = self.PARAMS
+        layout = params.spec.layout()
         home_cells = params.home_cells(layout)
         plan = params.plan(home_cells)
         weights = cell_occupancy(home_cells, len(plan.cell_positions))
